@@ -38,6 +38,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -355,16 +356,25 @@ func printText(w io.Writer, ds *mrcc.Dataset, res *mrcc.Result, elapsed time.Dur
 	}
 }
 
+// writeLabels writes one label per line through a buffer, returning
+// the first write, flush or close error.
 func writeLabels(path string, labels []int) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
+	w := bufio.NewWriterSize(f, 1<<16)
+	var line []byte
 	for _, l := range labels {
-		if _, err := f.WriteString(strconv.Itoa(l) + "\n"); err != nil {
+		line = append(strconv.AppendInt(line[:0], int64(l), 10), '\n')
+		if _, err := w.Write(line); err != nil {
 			f.Close()
 			return err
 		}
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
 	}
 	return f.Close()
 }

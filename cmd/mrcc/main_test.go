@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -230,5 +231,40 @@ func TestFlagValidation(t *testing.T) {
 	// runtime errors like an unreadable input file.
 	if code, _, _ := cli(t, "-in", "/nonexistent/file.csv"); code != 1 {
 		t.Errorf("runtime error exited %d, want 1", code)
+	}
+}
+
+// TestWriteLabelsBytes pins the label file format — one decimal label
+// per line, noise as -1 — across several buffer flushes.
+func TestWriteLabelsBytes(t *testing.T) {
+	labels := make([]int, 100000)
+	var want strings.Builder
+	for i := range labels {
+		labels[i] = i%23 - 1
+		want.WriteString(strconv.Itoa(labels[i]) + "\n")
+	}
+	path := filepath.Join(t.TempDir(), "labels.csv")
+	if err := writeLabels(path, labels); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Fatalf("label file differs from the one-line-per-label format (%d bytes, want %d)", len(got), want.Len())
+	}
+}
+
+// TestWriteLabelsFailureExitsNonZero pins that a label write the device
+// refuses surfaces as a runtime error (exit 1), not a silent success.
+func TestWriteLabelsFailureExitsNonZero(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	in := writeTestCSV(t)
+	code, _, stderr := cli(t, "-in", in, "-out", "/dev/full")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr)
 	}
 }

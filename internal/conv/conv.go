@@ -37,79 +37,42 @@ func FaceValueScratch(t *ctree.Tree, p ctree.Path, r ctree.Ref, buf ctree.Path) 
 	return v
 }
 
-// FaceValueIndexed is FaceValue over a level-index entry: neighbor
-// resolution goes through the index's coordinate-keyed flat hash (one
-// probe per neighbor) instead of a root-to-leaf CellAt descent through
-// per-node maps. It returns the convolution value and the number of
-// index lookups performed (in-grid neighbors only), so callers can
-// merge the count into the observability layer per chunk. buf is path
-// scratch (grown as needed); each worker owns its own.
-func FaceValueIndexed(ix *ctree.LevelIndex, i int, buf ctree.Path) (v, lookups int64) {
-	d := ix.Dims()
-	v = int64(2*d) * int64(ix.N(i))
-	for j := 0; j < d; j++ {
-		for _, upper := range [2]bool{false, true} {
-			var ni int
-			ni, buf = ix.NeighborLookup(i, j, upper, buf)
-			if ni >= 0 {
-				v -= int64(ix.N(ni))
-			}
-			lookups++
-		}
+// FaceValuesSerial fills vals — one slot per entry of the level index —
+// with the face-mask value of every entry: the 2d·n(i) center term,
+// then SubtractFaceNeighbors for every axis.
+func FaceValuesSerial(ix *ctree.LevelIndex, vals []int64) {
+	twoD := int64(2 * ix.Dims())
+	for i := range vals {
+		vals[i] = twoD * int64(ix.N(i))
 	}
-	return v, lookups
+	for j := 0; j < ix.Dims(); j++ {
+		SubtractFaceNeighbors(ix, j, vals)
+	}
 }
 
-// FaceValuesSerial fills vals — one slot per entry of the level index,
-// zeroed by the caller — with the face-mask value of every entry, using
-// ONE upper-neighbor probe per (entry, axis) instead of two: face
-// adjacency is symmetric, so when entry k turns up as entry i's upper
-// neighbor along axis j, i is exactly k's lower neighbor there, and
-// both subtractions come off the single probe. That halves the hash
-// traffic of the one-shot convolution-cache build (core's scancache).
-// The parallel build keeps the per-entry gather (FaceValueIndexed)
-// because the scatter write to vals[k] would cross chunk boundaries.
-// Both produce identical values — the same integer terms, added in a
-// different order. Returns the number of index probes performed.
-func FaceValuesSerial(ix *ctree.LevelIndex, vals []int64) (lookups int64) {
-	return FaceValuesChunk(ix, 0, ix.Len(), vals)
-}
-
-// FaceValuesChunk scatters the symmetric face-mask contributions of
-// entries [lo, hi) into out, which must span the whole level (length
-// ix.Len(), zeroed): entry i's own 2d·n(i) term plus the ±1 adjacency
-// terms for every stored upper neighbor — written to BOTH ends of the
-// adjacency, which may land outside [lo, hi). Parallel builders give
-// each worker a private out slab and sum the slabs; integer addition
-// commutes exactly, so any chunking and merge order yields the same
-// values as the serial pass.
-func FaceValuesChunk(ix *ctree.LevelIndex, lo, hi int, out []int64) (lookups int64) {
-	d := ix.Dims()
-	twoD := int64(2 * d)
-	var buf ctree.Path
-	for i := lo; i < hi; i++ {
-		ci := int64(ix.N(i))
-		out[i] += twoD * ci
-		for j := 0; j < d; j++ {
-			var k int
-			k, buf = ix.NeighborLookup(i, j, true, buf)
-			lookups++
-			if k >= 0 {
-				out[i] -= int64(ix.N(k))
-				out[k] -= ci
-			}
-		}
-	}
-	return lookups
+// SubtractFaceNeighbors applies the face-mask terms of axis j to out,
+// which spans the whole level: for every pair of stored face neighbours
+// along j, each one's count comes off the other's slot. The pairs come
+// from the level index's sequential run-merge sweep
+// (LevelIndex.FaceAdjacencies), so each adjacency is found once, with
+// no hashing. Parallel callers give each worker a private out slab and
+// a disjoint set of axes and sum the slabs; integer addition commutes
+// exactly, so any split yields the values of FaceValuesSerial.
+func SubtractFaceNeighbors(ix *ctree.LevelIndex, j int, out []int64) {
+	ix.FaceAdjacencies(j, func(lower, upper int) {
+		out[lower] -= int64(ix.N(upper))
+		out[upper] -= int64(ix.N(lower))
+	})
 }
 
 // FaceNeighborCounts returns, for each axis j, the point counts of the
 // lower and upper face neighbors of the cell at path p (zero when the
-// neighbor is absent or outside the cube). The clustering phase reuses
-// this both for the statistical test and for bound refinement. Lookups
-// are served by the level's flat index (materializing the tree's level
-// indexes on first use) instead of per-neighbor CellAt descents.
-func FaceNeighborCounts(t *ctree.Tree, p ctree.Path) (lower, upper []int32) {
+// neighbor is absent or outside the cube), plus the number of index
+// lookups it made. The clustering phase reuses this both for the
+// statistical test and for bound refinement. Each in-grid neighbor is
+// one binary search in the level's index (materializing the tree's
+// level indexes on first use).
+func FaceNeighborCounts(t *ctree.Tree, p ctree.Path) (lower, upper []int32, lookups int64) {
 	d := t.D
 	lower = make([]int32, d)
 	upper = make([]int32, d)
@@ -117,20 +80,15 @@ func FaceNeighborCounts(t *ctree.Tree, p ctree.Path) (lower, upper []int32) {
 	buf := make(ctree.Path, 0, p.Level())
 	for j := 0; j < d; j++ {
 		for _, up := range [2]bool{false, true} {
-			var np ctree.Path
-			var ok bool
-			np, ok = p.NeighborInto(buf, j, up)
+			np, ok := p.NeighborInto(buf, j, up)
 			if !ok {
 				continue
 			}
 			buf = np
+			lookups++
 			var n int32
-			if ix != nil {
-				if ni := ix.Lookup(np); ni >= 0 {
-					n = ix.N(ni)
-				}
-			} else if nc := t.CellAt(np); nc != ctree.NilRef {
-				n = t.N(nc)
+			if i := ix.Find(np); i >= 0 {
+				n = ix.N(i)
 			}
 			if up {
 				upper[j] = n
@@ -139,12 +97,16 @@ func FaceNeighborCounts(t *ctree.Tree, p ctree.Path) (lower, upper []int32) {
 			}
 		}
 	}
-	return lower, upper
+	return lower, upper, lookups
 }
 
 // FullValue returns the full order-3 Laplacian convolution value:
-// (3^d−1)·n(c) − Σ over all 3^d−1 offset neighbors. Cost is O(3^d·h·d);
-// it exists only for the mask ablation (experiment A-mask) on small d.
+// (3^d−1)·n(c) − Σ over the stored cells of c's 3×…×3 neighbourhood.
+// The neighbours come from a range walk down the tree
+// (Tree.VisitBox) that prunes every subtree outside the
+// neighbourhood, so the cost is O(stored neighbours · h) tree steps
+// instead of one descent per each of the 3^d−1 offsets. It exists only
+// for the mask ablation (experiment A-mask).
 func FullValue(t *ctree.Tree, p ctree.Path, r ctree.Ref) int64 {
 	d := t.D
 	total := int64(1)
@@ -152,53 +114,23 @@ func FullValue(t *ctree.Tree, p ctree.Path, r ctree.Ref) int64 {
 		total *= 3
 	}
 	v := (total - 1) * int64(t.N(r))
-	offsets := make([]int, d)
-	coords := make([]uint64, d)
+	h := p.Level()
+	lo := make([]uint64, d)
+	hi := make([]uint64, d)
 	for j := 0; j < d; j++ {
-		coords[j] = p.Coord(j)
-	}
-	h := p.Level()
-	limit := uint64(1) << uint(h)
-	var rec func(axis int, anyNonZero bool)
-	rec = func(axis int, anyNonZero bool) {
-		if axis == d {
-			if !anyNonZero {
-				return
-			}
-			np := offsetPath(p, coords, offsets, limit)
-			if np == nil {
-				return
-			}
-			if nc := t.CellAt(np); nc != ctree.NilRef {
-				v -= int64(t.N(nc))
-			}
-			return
+		c := p.Coord(j)
+		lo[j], hi[j] = c, c
+		if c > 0 {
+			lo[j]--
 		}
-		for _, o := range [3]int{-1, 0, 1} {
-			offsets[axis] = o
-			rec(axis+1, anyNonZero || o != 0)
+		if c < uint64(1)<<uint(h)-1 {
+			hi[j]++
 		}
 	}
-	rec(0, false)
+	t.VisitBox(h, lo, hi, func(nc ctree.Ref) {
+		if nc != r {
+			v -= int64(t.N(nc))
+		}
+	})
 	return v
-}
-
-// offsetPath returns the path of the cell displaced by offsets from the
-// cell at p, or nil when the displaced coordinates leave the grid.
-func offsetPath(p ctree.Path, coords []uint64, offsets []int, limit uint64) ctree.Path {
-	h := p.Level()
-	out := make(ctree.Path, h)
-	for j, c := range coords {
-		nc := int64(c) + int64(offsets[j])
-		if nc < 0 || uint64(nc) >= limit {
-			return nil
-		}
-		mask := uint64(1) << uint(j)
-		for l := 0; l < h; l++ {
-			if (uint64(nc)>>uint(h-1-l))&1 == 1 {
-				out[l] |= mask
-			}
-		}
-	}
-	return out
 }

@@ -192,7 +192,7 @@ func TestFullValueBruteForce2D(t *testing.T) {
 func TestFaceNeighborCountsMatchLookups(t *testing.T) {
 	tr, _ := buildTree(t, 3, 400, 21, 4)
 	tr.WalkLevel(2, func(p ctree.Path, c ctree.Ref) {
-		lower, upper := FaceNeighborCounts(tr, p)
+		lower, upper, _ := FaceNeighborCounts(tr, p)
 		for j := 0; j < tr.D; j++ {
 			for _, up := range [2]bool{false, true} {
 				var want int32
@@ -213,10 +213,11 @@ func TestFaceNeighborCountsMatchLookups(t *testing.T) {
 	})
 }
 
-// TestFaceValuesSerialMatchesIndexed pins the symmetric bulk pass
-// (half the probes, scatter to both sides of each adjacency) value-
-// for-value against the per-entry gather and against FaceValueScratch,
-// for every entry of every level.
+// TestFaceValuesSerialMatchesIndexed pins the run-merge sweep
+// (FaceValuesSerial over the level index) value-for-value against the
+// CellAt-based FaceValueScratch, and a split of the axes across
+// private slabs against the one-slab pass, for every entry of every
+// level.
 func TestFaceValuesSerialMatchesIndexed(t *testing.T) {
 	tr, _ := buildTree(t, 6, 3000, 9, 5)
 	for h := 1; h <= tr.H-1; h++ {
@@ -224,15 +225,24 @@ func TestFaceValuesSerialMatchesIndexed(t *testing.T) {
 		n := ix.Len()
 		bulk := make([]int64, n)
 		FaceValuesSerial(ix, bulk)
-		buf := make(ctree.Path, 0, h)
+		split := make([]int64, n)
+		for j := 0; j < tr.D; j += 2 {
+			slab := make([]int64, n)
+			for jj := j; jj < min(j+2, tr.D); jj++ {
+				SubtractFaceNeighbors(ix, jj, slab)
+			}
+			for i, v := range slab {
+				split[i] += v
+			}
+		}
 		scratch := make(ctree.Path, 0, h)
 		for i := 0; i < n; i++ {
-			want, _ := FaceValueIndexed(ix, i, buf)
+			want := FaceValueScratch(tr, ix.PathOf(i), ix.Ref(i), scratch)
 			if bulk[i] != want {
-				t.Fatalf("level %d entry %d: bulk %d, gather %d", h, i, bulk[i], want)
+				t.Fatalf("level %d entry %d: sweep %d, scratch %d", h, i, bulk[i], want)
 			}
-			if got := FaceValueScratch(tr, ix.PathOf(i), ix.Ref(i), scratch); got != want {
-				t.Fatalf("level %d entry %d: scratch %d, gather %d", h, i, got, want)
+			if got := split[i] + int64(2*tr.D)*int64(ix.N(i)); got != want {
+				t.Fatalf("level %d entry %d: split sweep %d, scratch %d", h, i, got, want)
 			}
 		}
 	}

@@ -737,25 +737,18 @@ func (s *searcher) maskValue(p ctree.Path, c ctree.Ref, buf ctree.Path) int64 {
 // sharesSpaceWithBeta reports whether the cell at path p overlaps any
 // previously found β-cluster in every axis.
 func (s *searcher) sharesSpaceWithBeta(p ctree.Path) bool {
+	if len(s.betas) == 0 {
+		return false
+	}
 	if s.lBuf == nil {
 		s.lBuf = make([]float64, s.tree.D)
 		s.uBuf = make([]float64, s.tree.D)
 	}
-	return s.sharesSpaceWithBetaInto(p, s.lBuf, s.uBuf)
-}
-
-// sharesSpaceWithBetaInto is sharesSpaceWithBeta writing the cell
-// bounds into caller-owned scratch, so concurrent scan workers need no
-// shared state.
-func (s *searcher) sharesSpaceWithBetaInto(p ctree.Path, lBuf, uBuf []float64) bool {
-	if len(s.betas) == 0 {
-		return false
-	}
 	for j := 0; j < s.tree.D; j++ {
-		lBuf[j], uBuf[j] = p.Bounds(j)
+		s.lBuf[j], s.uBuf[j] = p.Bounds(j)
 	}
 	for i := range s.betas {
-		if s.betas[i].SharesSpace(lBuf, uBuf) {
+		if s.betas[i].SharesSpace(s.lBuf, s.uBuf) {
 			return true
 		}
 	}
@@ -769,22 +762,12 @@ func (s *searcher) testCell(p ctree.Path, ah ctree.Ref) (BetaCluster, bool) {
 	d := s.tree.D
 	h := p.Level()
 	parentPath := p[:h-1]
-	// Parent resolution goes through the level index (one hash probe)
-	// instead of a root-to-leaf CellAt descent; the CellAt fallback only
-	// runs for levels outside the indexed range, which testCell never
-	// sees in practice.
-	parent := ctree.NilRef
-	if ix := s.tree.LevelIndex(h); ix != nil {
-		if i := ix.Lookup(p); i >= 0 {
-			parent = ix.Parent(i)
-		}
-	} else {
-		parent = s.tree.CellAt(parentPath)
-	}
+	parent := s.tree.ParentOf(ah)
 	if parent == ctree.NilRef {
 		return BetaCluster{}, false
 	}
-	lowerN, upperN := conv.FaceNeighborCounts(s.tree, parentPath)
+	lowerN, upperN, lookups := conv.FaceNeighborCounts(s.tree, parentPath)
+	s.col.AddIndexLookups(lookups)
 	cP := make([]int64, d)
 	nP := make([]int64, d)
 	significant := false
@@ -826,7 +809,8 @@ func (s *searcher) testCell(p ctree.Path, ah ctree.Ref) (BetaCluster, bool) {
 		Level:      h,
 		Center:     p.Clone(),
 	}
-	cellLowerN, cellUpperN := conv.FaceNeighborCounts(s.tree, p)
+	cellLowerN, cellUpperN, lookups := conv.FaceNeighborCounts(s.tree, p)
+	s.col.AddIndexLookups(lookups)
 	step := ctree.SideLen(h)
 	// A neighbor only extends the bounds when it holds a noticeable
 	// share of the center cell's points. The paper says "at least one

@@ -123,9 +123,6 @@ func (s *searcher) densestCellNaiveParallel(h int) (ctree.Path, ctree.Ref, int64
 // merged with one atomic add per chunk.
 func (s *searcher) scanChunk(ix *ctree.LevelIndex, lo, hi int) chunkBest {
 	best := chunkBest{val: math.MinInt64, ref: ctree.NilRef}
-	d := s.tree.D
-	lBuf := make([]float64, d)
-	uBuf := make([]float64, d)
 	pathBuf := make(ctree.Path, 0, s.tree.H)
 	var maskEvals int64
 	polled := 0
@@ -144,10 +141,10 @@ func (s *searcher) scanChunk(ix *ctree.LevelIndex, lo, hi int) chunkBest {
 				break
 			}
 		}
-		p := ix.PathOf(i)
-		if ix.Used(i) || s.sharesSpaceWithBetaInto(p, lBuf, uBuf) {
+		if ix.Used(i) || s.overlapsBetaIndexed(ix, i) {
 			continue
 		}
+		p := ix.PathOf(i)
 		v := s.maskValue(p, ix.Ref(i), pathBuf)
 		maskEvals++
 		cand := chunkBest{val: v, path: p, ref: ix.Ref(i)}

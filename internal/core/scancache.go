@@ -18,14 +18,12 @@
 // internal/core/scan_equiv_test.go).
 //
 // Restart passes drop from O(cells · d) re-convolution to O(skips)
-// eligibility checks, and the overlap check reads the level index's
-// precomputed bounds instead of re-deriving Path.Bounds (O(d·h)) per
-// cell per pass.
+// eligibility checks, and the overlap check computes bounds from the
+// level index's coordinate key instead of re-deriving Path.Bounds
+// (O(d·h)) per cell per pass.
 package core
 
 import (
-	"sort"
-
 	"mrcc/internal/conv"
 	"mrcc/internal/ctree"
 	"mrcc/internal/fault"
@@ -70,41 +68,34 @@ func (s *searcher) levelScan(h int) (*levelScan, error) {
 	return sc, nil
 }
 
-// buildLevelScan computes level h's mask values (in parallel for
-// Workers > 1; values are pure integer sums, so any chunking and merge
-// order yields the same slab) and the total-order permutation over
-// them. The face mask uses the symmetric scatter pass — one index
-// probe per stored adjacency instead of two (conv.FaceValuesChunk) —
-// with per-worker slabs summed after the fan-out; the full 3^d mask
-// keeps the per-entry walk.
+// buildLevelScan computes level h's mask values and the total-order
+// permutation over them. The face mask starts from the 2d·n(i) center
+// terms and subtracts each axis's adjacencies with one run-merge sweep
+// over the level index (conv.SubtractFaceNeighbors); for Workers > 1
+// the axes are split across workers, each with a private slab, and the
+// slabs are summed — integer sums, so any split yields the serial
+// values. The full 3^d mask keeps the per-entry range walk, in
+// parallel ranges of entries.
 //
-// The build is segmented (scanCheckEvery entries per segment) so every
-// worker — and the serial path — polls the run's abort checkpoint a
-// few thousand cells apart: a cancelled context stops the one-shot
-// cache build, the run's single largest scan-side computation, within
-// one segment. Segmenting changes nothing about the values: each
-// FaceValuesChunk call scatters a disjoint entry range's contributions
-// and integer addition commutes exactly, so any segmentation yields
-// the same slab as the one-call pass (conv.FaceValuesSerial is itself
-// FaceValuesChunk over the whole range).
+// Every worker — and the serial path — polls the run's abort
+// checkpoint once per axis sweep (face mask) or every scanCheckEvery
+// entries (full mask), so a cancelled context stops the one-shot cache
+// build, the run's single largest scan-side computation, within one
+// sweep.
 func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 	ix := s.tree.LevelIndex(h)
 	n := ix.Len()
+	d := s.tree.D
 	vals := make([]int64, n)
 	parallel := s.workers > 1 && n >= minParallelCells
 	var err error
-	switch {
-	case s.cfg.FullMask:
+	if s.cfg.FullMask {
 		compute := func(lo, hi int) error {
 			for seg := lo; seg < hi; seg += scanCheckEvery {
-				end := seg + scanCheckEvery
-				if end > hi {
-					end = hi
-				}
 				if err := s.abort.check(fault.ScanChunk); err != nil {
 					return err
 				}
-				for i := seg; i < end; i++ {
+				for i := seg; i < min(seg+scanCheckEvery, hi); i++ {
 					vals[i] = conv.FullValue(s.tree, ix.PathOf(i), ix.Ref(i))
 				}
 			}
@@ -115,69 +106,49 @@ func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 		} else {
 			err = compute(0, n)
 		}
-	default:
+	} else {
 		workers := 1
 		if parallel {
-			workers = s.workers
-			if workers > n {
-				workers = n
-			}
+			workers = min(s.workers, d)
 		}
 		slabs := make([][]int64, workers)
-		lookups := make([]int64, workers)
-		scatter := func(w, lo, hi int) error {
-			slab := vals // serial: scatter straight into the result
+		sweep := func(w, j0, j1 int) error {
+			slab := vals // serial: subtract straight into the result
 			if workers > 1 {
 				slab = make([]int64, n)
 				slabs[w] = slab
 			}
-			for seg := lo; seg < hi; seg += scanCheckEvery {
-				end := seg + scanCheckEvery
-				if end > hi {
-					end = hi
-				}
+			for j := j0; j < j1; j++ {
 				if err := s.abort.check(fault.ScanChunk); err != nil {
 					return err
 				}
-				lookups[w] += conv.FaceValuesChunk(ix, seg, end, slab)
+				conv.SubtractFaceNeighbors(ix, j, slab)
 			}
 			return nil
 		}
 		if workers > 1 {
-			err = parallelRangesIndexedErr(n, workers, scatter)
+			err = parallelRangesIndexedErr(d, workers, sweep)
 		} else {
-			err = scatter(0, 0, n)
+			err = sweep(0, 0, d)
 		}
 		if err == nil {
-			var total int64
-			for w := 0; w < workers; w++ {
-				total += lookups[w]
-				if slab := slabs[w]; slab != nil {
-					for i, v := range slab {
-						vals[i] += v
-					}
+			twoD := int64(2 * d)
+			for i := range vals {
+				vals[i] += twoD * int64(ix.N(i))
+			}
+			for _, slab := range slabs {
+				for i, v := range slab {
+					vals[i] += v
 				}
 			}
-			s.col.AddIndexLookups(total)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := int(order[a]), int(order[b])
-		if vals[ia] != vals[ib] {
-			return vals[ia] > vals[ib]
-		}
-		return ix.ComparePaths(ia, ib) < 0
-	})
 	s.col.AddValueCacheBuild(int64(n))
 	s.col.AddMaskEvals(int64(n))
-	return &levelScan{ix: ix, vals: vals, order: order}, nil
+	return &levelScan{ix: ix, vals: vals, order: ix.ScanOrder(vals)}, nil
 }
 
 // densestCellCached returns the first eligible entry of level h's
@@ -230,10 +201,10 @@ func (s *searcher) densestCellCached(h int) (ctree.Path, ctree.Ref, int64) {
 }
 
 // overlapsBetaIndexed reports whether index entry i overlaps any found
-// β-cluster in every axis, reading the precomputed bounds slab instead
-// of re-deriving Path.Bounds. The float arithmetic is bit-identical to
-// BetaCluster.SharesSpace over Path.Bounds (the index stores exactly
-// float64(coord)·side and (float64(coord)+1)·side).
+// β-cluster in every axis, computing the bounds from the entry's key
+// instead of materializing its path. The float arithmetic is
+// bit-identical to BetaCluster.SharesSpace over Path.Bounds: both are
+// float64(coord)·side and (float64(coord)+1)·side.
 func (s *searcher) overlapsBetaIndexed(ix *ctree.LevelIndex, i int) bool {
 	d := s.tree.D
 	for bi := range s.betas {

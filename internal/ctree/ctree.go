@@ -234,6 +234,51 @@ func (t *Tree) CellAt(p Path) Ref {
 	return r
 }
 
+// VisitBox calls fn for every stored level-h cell whose grid
+// coordinate along each axis j lies in [lo[j], hi[j]], in first-touch
+// order. The walk descends only into cells that overlap the box: at
+// level l the admissible coordinates are [lo>>(h-l), hi>>(h-l)], which
+// fixes, per axis, whether a child's position bit may be 0, 1 or
+// either, so each child is accepted or pruned with two mask tests.
+func (t *Tree) VisitBox(h int, lo, hi []uint64, fn func(r Ref)) {
+	if h < 1 || h > t.H-1 {
+		return
+	}
+	q := make([]uint64, t.D) // coordinates of the cell being expanded
+	var walk func(par Ref, l int)
+	walk = func(par Ref, l int) {
+		sh := uint(h - l)
+		var must0, must1 uint64
+		for j, c := range q {
+			base := c << 1
+			if base < lo[j]>>sh {
+				must1 |= 1 << uint(j)
+			}
+			if base+1 > hi[j]>>sh {
+				must0 |= 1 << uint(j)
+			}
+		}
+		for c := t.firstChild[par]; c >= 0; c = t.nextSib[c] {
+			loc := t.loc[c]
+			if loc&must0 != 0 || loc&must1 != must1 {
+				continue
+			}
+			if l == h {
+				fn(c)
+				continue
+			}
+			for j := range q {
+				q[j] = q[j]<<1 | (loc>>uint(j))&1
+			}
+			walk(c, l+1)
+			for j := range q {
+				q[j] >>= 1
+			}
+		}
+	}
+	walk(rootRef, 1)
+}
+
 // ParentCell returns the cell addressed by all but the last step of the
 // path, or NilRef for level-1 paths.
 func (t *Tree) ParentCell(p Path) Ref {
@@ -283,11 +328,5 @@ func (t *Tree) LevelCellCount(h int) int {
 	if h < 1 || h > t.H-1 {
 		return 0
 	}
-	n := 0
-	for i := 1; i < len(t.level); i++ {
-		if int(t.level[i]) == h {
-			n++
-		}
-	}
-	return n
+	return t.LevelCellCounts()[h]
 }

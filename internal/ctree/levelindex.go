@@ -1,203 +1,321 @@
 // Level indexes: flat, immutable snapshots of the Counting-tree's
-// levels that turn the β-search's neighbor/parent resolution from
-// root-to-leaf descents (Tree.CellAt, O(h) child lookups per probe)
-// into a single probe of a coordinate-keyed open-addressing table, and
-// precompute the per-axis cell bounds the overlap checks would
-// otherwise re-derive from the path (O(d·h)) on every scan pass.
+// levels for the β-search. Each level keeps three slabs — the arena
+// Ref, the point count and one packed coordinate key per stored cell —
+// with the entries sorted by key. Axis j owns its own (H-1)-bit field of the
+// key, holding the cell's grid coordinate along j, so:
 //
-// One pass over the arena builds the indexes for every stored level at
-// once (Tree.EnsureLevelIndexes); the snapshots stay valid for as long
-// as the tree's cell set does not change — Insert and MergeFrom
-// invalidate them. Mutating the tree concurrently with index access is
-// not supported (the pipeline never does: indexes are built before the
-// scan workers fan out, and scan workers only read).
+//   - grid coordinates and bounds are a shift and a mask away;
+//   - a cell is found by binary search on the sorted keys;
+//   - the face neighbours along axis j of a run of cells that share
+//     fields 0..j are the next run, so the face mask is a sequential
+//     run-merge sweep per axis (FaceAdjacencies) with no hashing.
+//
+// One linear pass over the arena builds every level's keys at once
+// (parents precede children in the arena, so a child's key is its
+// parent's key shifted up one bit per field plus its own position
+// bits), followed by one LSD radix sort per level. The snapshots copy
+// the cell counts, so they stay valid only while the tree is not
+// mutated — every insert path and MergeFrom invalidates them. Mutating
+// the tree concurrently with index access is not supported (the
+// pipeline never does: indexes are built before the scan workers fan
+// out, and scan workers only read).
 package ctree
 
 import (
+	"cmp"
+	"math"
+	"math/bits"
+	"slices"
+	"sort"
 	"unsafe"
 )
 
-// LevelIndex is the flat snapshot of one tree level: one slab of
-// entries in the level's deterministic first-touch walk order, with the
-// full root path, packed per-axis grid coordinates, precomputed bounds
-// and the arena Ref of every entry and its parent, plus a
-// coordinate-keyed flat hash over the paths for O(1)-ish cell
-// resolution. Entries resolve counters (N, Used) through the owning
-// tree's arena columns, so an index adds no copy of the counts.
+// keyLayout places the d coordinate fields of a level key. Each field
+// is W = H-1 bits wide (enough for the deepest stored level) and never
+// straddles a word; a word holds 64/W fields from the top down, and
+// keys wider than one word — d·(H-1) > 64 — take as many words as the
+// fields need, most significant word first. The lower axis always sits
+// higher, so the key order is the lexicographic order of
+// (c_0, c_1, ..., c_{d-1}).
+type keyLayout struct {
+	words int    // uint64 words per key
+	word  []int  // word[j]: the key word holding axis j's field
+	shift []uint // shift[j]: the field's bit offset within that word
+}
+
+func newKeyLayout(d, H int) *keyLayout {
+	w := uint(H - 1)
+	per := int(64 / w)
+	lay := &keyLayout{words: (d + per - 1) / per, word: make([]int, d), shift: make([]uint, d)}
+	for j := range lay.word {
+		lay.word[j] = j / per
+		lay.shift[j] = 64 - w*uint(j%per+1)
+	}
+	return lay
+}
+
+// childKey writes to dst the key of the child at position loc under
+// the cell keyed parent (dst may alias parent): every field gains one
+// low bit, the child's position along that axis.
+func (lay *keyLayout) childKey(dst, parent []uint64, loc uint64) {
+	for k := range dst {
+		dst[k] = parent[k] << 1
+	}
+	for m := loc; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		dst[lay.word[j]] |= 1 << lay.shift[j]
+	}
+}
+
+// LevelIndex is the flat snapshot of one tree level: the stored cells'
+// arena Refs, counts and packed coordinate keys, sorted by key. Used
+// flags and parents are read through the owning tree's arena columns.
 type LevelIndex struct {
 	// Level is the tree level the index covers (1 <= Level <= H-1).
 	Level int
 
-	t *Tree
-	d int
-	n int
+	t   *Tree
+	lay *keyLayout
+	n   int
 
-	// Slabs, entry i occupying [i*width, (i+1)*width):
-	paths   []uint64  // width Level: the cell's root path words
-	coords  []uint64  // width d: grid coordinate per axis at this level
-	lo, hi  []float64 // width d: per-axis cell bounds (== Path.Bounds)
-	refs    []Ref     // the stored cell's arena Ref
-	parents []Ref     // the level-(Level-1) parent's Ref; NilRef at level 1
-
-	// Open-addressing hash over the path slab: table[k] is an entry
-	// index or -1 when empty; mask is len(table)-1 (a power of two).
-	table []int32
-	mask  uint64
+	refs   []Ref    // entry i's arena Ref
+	counts []int32  // entry i's point count (the arena's N, copied for sequential reads)
+	keys   []uint64 // entry i's key at keys[i*words : (i+1)*words]
 }
 
 // Len returns the number of stored cells at the level.
 func (ix *LevelIndex) Len() int { return ix.n }
 
 // Dims returns the dataset dimensionality.
-func (ix *LevelIndex) Dims() int { return ix.d }
+func (ix *LevelIndex) Dims() int { return ix.t.D }
 
 // Ref returns entry i's arena Ref in the owning tree.
 func (ix *LevelIndex) Ref(i int) Ref { return ix.refs[i] }
 
 // Parent returns entry i's parent Ref (NilRef for level-1 entries).
-func (ix *LevelIndex) Parent(i int) Ref { return ix.parents[i] }
+func (ix *LevelIndex) Parent(i int) Ref { return ix.t.ParentOf(ix.refs[i]) }
 
-// N returns entry i's point count, read through the owning tree's
-// arena.
-func (ix *LevelIndex) N(i int) int32 { return ix.t.n[ix.refs[i]] }
+// N returns entry i's point count.
+func (ix *LevelIndex) N(i int) int32 { return ix.counts[i] }
 
 // Used reports entry i's usedCell flag, read through the owning tree's
 // arena (so SetUsed during the scan is visible without a rebuild).
 func (ix *LevelIndex) Used(i int) bool { return ix.t.used[ix.refs[i]] }
 
-// PathOf returns entry i's root path as a view into the index's slab.
-// The view is immutable and stable for the lifetime of the index;
-// callers must not modify it.
-func (ix *LevelIndex) PathOf(i int) Path {
-	h := ix.Level
-	return Path(ix.paths[i*h : (i+1)*h : (i+1)*h])
+// key returns entry i's key words.
+func (ix *LevelIndex) key(i int) []uint64 {
+	w := ix.lay.words
+	return ix.keys[i*w : (i+1)*w : (i+1)*w]
 }
 
 // Coord returns entry i's integer grid coordinate along axis j,
-// identical to PathOf(i).Coord(j) but O(1).
-func (ix *LevelIndex) Coord(i, j int) uint64 { return ix.coords[i*ix.d+j] }
+// identical to PathOf(i).Coord(j). At level h a field holds h bits.
+func (ix *LevelIndex) Coord(i, j int) uint64 {
+	lay := ix.lay
+	return (ix.keys[i*lay.words+lay.word[j]] >> lay.shift[j]) & (1<<uint(ix.Level) - 1)
+}
 
-// Bounds returns entry i's precomputed bounds along axis j, identical
-// to PathOf(i).Bounds(j) bit for bit.
+// Bounds returns entry i's bounds along axis j, computed exactly as
+// Path.Bounds does (float64(coord)·side and (float64(coord)+1)·side,
+// both exact in float64), so the two agree bit for bit.
 func (ix *LevelIndex) Bounds(i, j int) (lo, hi float64) {
-	k := i*ix.d + j
-	return ix.lo[k], ix.hi[k]
+	side := SideLen(ix.Level)
+	c := float64(ix.Coord(i, j))
+	return c * side, (c + 1) * side
 }
 
-// ComparePaths orders entries a and b by their lexicographic path
-// order (the convolution scan's deterministic tie-break) without
-// materializing Path values.
-func (ix *LevelIndex) ComparePaths(a, b int) int {
+// PathOf returns a fresh copy of entry i's root path.
+func (ix *LevelIndex) PathOf(i int) Path {
 	h := ix.Level
-	pa := ix.paths[a*h : (a+1)*h]
-	pb := ix.paths[b*h : (b+1)*h]
-	for k := 0; k < h; k++ {
-		switch {
-		case pa[k] < pb[k]:
-			return -1
-		case pa[k] > pb[k]:
-			return 1
+	p := make(Path, h)
+	for j := 0; j < ix.t.D; j++ {
+		c := ix.Coord(i, j)
+		for l := range p {
+			p[l] |= ((c >> uint(h-1-l)) & 1) << uint(j)
 		}
 	}
-	return 0
+	return p
 }
 
-// hashWords is FNV-1a over the path words, the key of the flat hash.
-// (The child tables hash single Loc words with the cheaper fmix64 —
-// hashLoc in arena.go; the level indexes keep FNV-1a because their key
-// is a variable-length word sequence.)
-func hashWords(words []uint64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, w := range words {
-		for b := 0; b < 64; b += 8 {
-			h ^= (w >> uint(b)) & 0xff
-			h *= 1099511628211
+// ScanOrder returns the entry indices ordered by vals (one value per
+// entry) descending, ties broken by root path ascending (Path.Compare)
+// — the β-search's total scan order. It is a chain of stable LSD radix
+// passes: the packed path, least significant word first, then the
+// value. A path word packs the locs of up to 64/d consecutive levels,
+// shallowest level highest; the loc of level l holds bit h-l of every
+// coordinate, so coordinate bit b of axis j lands at (b-lo)·d + j in
+// the word covering bits [lo, lo+64/d).
+func (ix *LevelIndex) ScanOrder(vals []int64) []int32 {
+	d, h := ix.t.D, ix.Level
+	var spread [256]uint64 // spread[x]: bit b of x moved to bit b·d
+	for x := range spread {
+		for b := 0; b < 8; b++ {
+			spread[x] |= uint64(x>>b&1) << uint(b*d)
 		}
 	}
-	return h
+	ps := newPermSort(ix.n)
+	for lo, per := 0, 64/d; lo < h; lo += per {
+		mask := uint64(1)<<uint(min(per, h-lo)) - 1
+		ps.by(func(e int) uint64 {
+			var k uint64
+			for j := 0; j < d; j++ {
+				c := ix.Coord(e, j) >> uint(lo) & mask
+				for sh := uint(j); c != 0; sh, c = sh+uint(8*d), c>>8 {
+					k |= spread[c&0xff] << sh
+				}
+			}
+			return k
+		})
+	}
+	// Descending value: key top-v, so the pass only pays for the byte
+	// lanes the values' spread occupies.
+	top := int64(math.MinInt64)
+	for _, v := range vals {
+		top = max(top, v)
+	}
+	ps.by(func(e int) uint64 { return uint64(top - vals[e]) })
+	order := make([]int32, ix.n)
+	for i, p := range ps.perm {
+		order[i] = int32(p)
+	}
+	return order
 }
 
-// Lookup returns the entry index of the cell with the given root path,
-// or -1 when no such cell is stored. p must address this index's level.
-func (ix *LevelIndex) Lookup(p Path) int {
+// permSort carries an entry permutation through a chain of stable LSD
+// radix passes (radixSortPairs): each pass re-sorts it by one key
+// column, so the last pass decides the primary order and earlier
+// passes break its ties.
+type permSort struct {
+	perm, permTmp, col, colTmp []uint64
+}
+
+func newPermSort(n int) *permSort {
+	ps := &permSort{
+		perm:    make([]uint64, n),
+		permTmp: make([]uint64, n),
+		col:     make([]uint64, n),
+		colTmp:  make([]uint64, n),
+	}
+	for i := range ps.perm {
+		ps.perm[i] = uint64(i)
+	}
+	return ps
+}
+
+// by stably re-sorts the permutation by key(entry), ascending.
+func (ps *permSort) by(key func(e int) uint64) {
+	if len(ps.perm) < 2 {
+		return
+	}
+	for i, p := range ps.perm {
+		ps.col[i] = key(int(p))
+	}
+	if _, sorted := radixSortPairs(ps.col, ps.perm, ps.colTmp, ps.permTmp); &sorted[0] != &ps.perm[0] {
+		ps.perm, ps.permTmp = ps.permTmp, ps.perm
+	}
+}
+
+// Find returns the entry index of the cell with the given root path,
+// or -1 when no such cell is stored (or p does not address this
+// index's level). It is a binary search over the sorted keys.
+func (ix *LevelIndex) Find(p Path) int {
 	if len(p) != ix.Level {
 		return -1
 	}
-	h := ix.Level
-	slot := hashWords(p) & ix.mask
-	for {
-		e := ix.table[slot]
-		if e < 0 {
+	k := make([]uint64, ix.lay.words)
+	for _, loc := range p {
+		if loc&^ix.t.dmask != 0 {
 			return -1
 		}
-		cand := ix.paths[int(e)*h : (int(e)+1)*h]
-		match := true
-		for k := 0; k < h; k++ {
-			if cand[k] != p[k] {
-				match = false
-				break
+		ix.lay.childKey(k, k, loc)
+	}
+	i, found := sort.Find(ix.n, func(i int) int { return slices.Compare(k, ix.key(i)) })
+	if !found {
+		return -1
+	}
+	return i
+}
+
+// FaceAdjacencies calls fn(lower, upper) once for every pair of stored
+// entries that are face neighbours along axis j, upper being lower's
+// +1 neighbour. It is one sequential sweep over the key order: entries
+// sharing fields 0..j form a run, sorted within by fields j+1..d-1;
+// the +1 neighbours of a run with coordinate c along j lie in the next
+// run exactly when that run shares fields 0..j-1 and has coordinate
+// c+1, and a two-pointer merge pairs them up (a pair's keys differ by
+// exactly one unit of field j).
+func (ix *LevelIndex) FaceAdjacencies(j int, fn func(lower, upper int)) {
+	lay := ix.lay
+	n, w := ix.n, lay.words
+	wj, s := lay.word[j], lay.shift[j]
+	unit := uint64(1) << s
+	maxC := uint64(1)<<uint(ix.Level) - 1
+	keys := ix.keys
+	// samePrefix reports whether entry a's key, plus raise in axis j's
+	// word, agrees with entry b's key on fields 0..j.
+	samePrefix := func(a, b int, raise uint64) bool {
+		for k := 0; k < wj; k++ {
+			if keys[a*w+k] != keys[b*w+k] {
+				return false
 			}
 		}
-		if match {
-			return int(e)
+		return (keys[a*w+wj]+raise^keys[b*w+wj])>>s == 0
+	}
+	// compareUp orders entry a's key, raised one unit along axis j,
+	// against entry b's key.
+	compareUp := func(a, b int) int {
+		for k := 0; k < w; k++ {
+			x := keys[a*w+k]
+			if k == wj {
+				x += unit
+			}
+			if c := cmp.Compare(x, keys[b*w+k]); c != 0 {
+				return c
+			}
 		}
-		slot = (slot + 1) & ix.mask
+		return 0
+	}
+	runEnd := func(a int) int {
+		e := a + 1
+		for e < n && samePrefix(a, e, 0) {
+			e++
+		}
+		return e
+	}
+	if n == 0 {
+		return
+	}
+	a0, aEnd := 0, runEnd(0)
+	for aEnd < n {
+		b0, bEnd := aEnd, runEnd(aEnd)
+		// Run B holds run A's +1 neighbours when its prefix is A's raised
+		// one unit — unless A's coordinate is already the last one, where
+		// the raise would carry into the next field up.
+		if ix.Coord(a0, j) != maxC && samePrefix(a0, b0, unit) {
+			for a, b := a0, b0; a < aEnd && b < bEnd; {
+				switch c := compareUp(a, b); {
+				case c == 0:
+					fn(a, b)
+					a++
+					b++
+				case c < 0:
+					a++
+				default:
+					b++
+				}
+			}
+		}
+		a0, aEnd = b0, bEnd
 	}
 }
 
-// NeighborLookup returns the entry index of entry i's face neighbor
-// along axis j (upper side when upper is true), or -1 when the
-// neighbor falls outside the unit cube or is not stored. buf is path
-// scratch (grown as needed) so hot loops allocate nothing per lookup.
-func (ix *LevelIndex) NeighborLookup(i, j int, upper bool, buf Path) (int, Path) {
-	h := ix.Level
-	c := ix.Coord(i, j)
-	if upper {
-		if c == (uint64(1)<<uint(h))-1 {
-			return -1, buf
-		}
-		c++
-	} else {
-		if c == 0 {
-			return -1, buf
-		}
-		c--
-	}
-	out := append(buf[:0], ix.paths[i*h:(i+1)*h]...)
-	mask := uint64(1) << uint(j)
-	for l := 0; l < h; l++ {
-		if (c>>uint(h-1-l))&1 == 1 {
-			out[l] |= mask
-		} else {
-			out[l] &^= mask
-		}
-	}
-	return ix.Lookup(out), out
-}
-
-// MemoryBytes is the exact footprint of the index: slabs, ref slices,
-// and the flat hash table.
+// MemoryBytes is the exact footprint of the index: the Ref and key
+// slabs.
 func (ix *LevelIndex) MemoryBytes() uint64 {
-	var total uint64
-	total += uint64(unsafe.Sizeof(*ix))
-	total += uint64(cap(ix.paths)) * 8
-	total += uint64(cap(ix.coords)) * 8
-	total += uint64(cap(ix.lo)) * 8
-	total += uint64(cap(ix.hi)) * 8
-	total += uint64(cap(ix.refs)) * uint64(unsafe.Sizeof(NilRef))
-	total += uint64(cap(ix.parents)) * uint64(unsafe.Sizeof(NilRef))
-	total += uint64(cap(ix.table)) * 4
-	return total
-}
-
-// tableSize returns the power-of-two open-addressing table size for n
-// entries (load factor <= 0.5).
-func tableSize(n int) uint64 {
-	size := uint64(8)
-	for size < uint64(n)*2 {
-		size <<= 1
-	}
-	return size
+	return uint64(unsafe.Sizeof(*ix)) +
+		uint64(cap(ix.refs))*uint64(unsafe.Sizeof(NilRef)) +
+		uint64(cap(ix.counts))*4 +
+		uint64(cap(ix.keys))*8
 }
 
 // EnsureLevelIndexes materializes the level indexes for every stored
@@ -212,96 +330,57 @@ func (t *Tree) EnsureLevelIndexes() []*LevelIndex {
 	if t.indexes != nil {
 		return t.indexes
 	}
-	counts := t.levelCellCountsWalk()
-	d := t.D
+	counts := t.LevelCellCounts()
+	lay := newKeyLayout(t.D, t.H)
+	w := lay.words
 	idxs := make([]*LevelIndex, t.H-1)
 	for h := 1; h <= t.H-1; h++ {
 		n := counts[h]
 		idxs[h-1] = &LevelIndex{
-			Level:   h,
-			t:       t,
-			d:       d,
-			paths:   make([]uint64, 0, n*h),
-			coords:  make([]uint64, 0, n*d),
-			lo:      make([]float64, 0, n*d),
-			hi:      make([]float64, 0, n*d),
-			refs:    make([]Ref, 0, n),
-			parents: make([]Ref, 0, n),
+			Level: h,
+			t:     t,
+			lay:   lay,
+			n:     n,
+			refs:  make([]Ref, 0, n),
+			keys:  make([]uint64, 0, n*w),
 		}
 	}
-	// One iterative DFS over the arena linkage fills every level in
-	// first-touch walk order: path words and per-axis grid coordinates
-	// are carried down the descent (coords frame l lives at
-	// coordScratch[l*d:(l+1)*d]), so each entry costs O(d) on top of
-	// the walk itself.
-	pathScratch := make([]uint64, t.H-1)
-	coordScratch := make([]uint64, t.H*d)
-	stack := make([]Ref, t.H-1)
-	stack[0] = t.firstChild[rootRef]
-	depth := 0
-	for depth >= 0 {
-		r := stack[depth]
-		if r < 0 {
-			depth--
-			if depth >= 0 {
-				stack[depth] = t.nextSib[stack[depth]]
-			}
-			continue
-		}
-		h := depth + 1 // level of the cell at r
-		loc := t.loc[r]
-		pathScratch[depth] = loc
-		prev := coordScratch[depth*d : (depth+1)*d]
-		cur := coordScratch[h*d : (h+1)*d]
-		side := SideLen(h)
-		for j := 0; j < d; j++ {
-			cur[j] = prev[j] << 1
-			if loc&(1<<uint(j)) != 0 {
-				cur[j] |= 1
-			}
-		}
-		ix := idxs[h-1]
-		ix.paths = append(ix.paths, pathScratch[:h]...)
-		ix.coords = append(ix.coords, cur...)
-		for j := 0; j < d; j++ {
-			// Matches Path.Bounds bit for bit: float64(coord)*side and
-			// (float64(coord)+1)*side.
-			fc := float64(cur[j])
-			ix.lo = append(ix.lo, fc*side)
-			ix.hi = append(ix.hi, (fc+1)*side)
-		}
-		ix.refs = append(ix.refs, r)
-		if par := t.parent[r]; par == rootRef {
-			ix.parents = append(ix.parents, NilRef)
-		} else {
-			ix.parents = append(ix.parents, par)
-		}
-		if h < t.H-1 && t.firstChild[r] >= 0 {
-			depth++
-			stack[depth] = t.firstChild[r]
-			continue
-		}
-		stack[depth] = t.nextSib[r]
+	// Parents precede children in the arena (pushCell appends a cell
+	// only under an existing parent, and snapshot loading enforces the
+	// same order), so one forward pass derives every cell's key from
+	// its parent's.
+	all := make([]uint64, len(t.loc)*w)
+	for r := 1; r < len(t.loc); r++ {
+		kr := all[r*w : (r+1)*w]
+		lay.childKey(kr, all[int(t.parent[r])*w:], t.loc[r])
+		ix := idxs[t.level[r]-1]
+		ix.refs = append(ix.refs, Ref(r))
+		ix.keys = append(ix.keys, kr...)
 	}
 	for _, ix := range idxs {
-		ix.n = len(ix.refs)
-		size := tableSize(ix.n)
-		ix.mask = size - 1
-		ix.table = make([]int32, size)
-		for k := range ix.table {
-			ix.table[k] = -1
-		}
-		h := ix.Level
-		for i := 0; i < ix.n; i++ {
-			slot := hashWords(ix.paths[i*h:(i+1)*h]) & ix.mask
-			for ix.table[slot] >= 0 {
-				slot = (slot + 1) & ix.mask
-			}
-			ix.table[slot] = int32(i)
-		}
+		ix.sortByKey()
 	}
 	t.indexes = idxs
 	return idxs
+}
+
+// sortByKey orders the entries by key, one radix pass per key word
+// (least significant first), and fills the count slab in that order.
+func (ix *LevelIndex) sortByKey() {
+	n, w := ix.n, ix.lay.words
+	ps := newPermSort(n)
+	for k := w - 1; k >= 0; k-- {
+		ps.by(func(e int) uint64 { return ix.keys[e*w+k] })
+	}
+	keys := make([]uint64, n*w)
+	refs := make([]Ref, n)
+	ix.counts = make([]int32, n)
+	for i, p := range ps.perm {
+		copy(keys[i*w:(i+1)*w], ix.keys[int(p)*w:(int(p)+1)*w])
+		refs[i] = ix.refs[p]
+		ix.counts[i] = ix.t.n[refs[i]]
+	}
+	ix.keys, ix.refs = keys, refs
 }
 
 // LevelIndex returns the flat index of level h (building all level
@@ -314,9 +393,9 @@ func (t *Tree) LevelIndex(h int) *LevelIndex {
 }
 
 // invalidateIndexes drops the materialized level indexes after a
-// mutation of the tree's cell set. Mutation never races index access
+// mutation of the tree. Mutation never races index access
 // (see the package comment above), so a plain check suffices and the
-// per-insert cost is one nil comparison.
+// per-insert cost is one nil comparison (no write while none exist).
 func (t *Tree) invalidateIndexes() {
 	if t.indexes != nil {
 		t.indexes = nil
@@ -324,26 +403,9 @@ func (t *Tree) invalidateIndexes() {
 }
 
 // LevelCellCounts returns the number of stored cells per level:
-// counts[h] is level h's cell count (index 0 unused, length H). With
-// the arena layout this is one O(cells) pass over the level column —
-// no tree walk at all.
+// counts[h] is level h's cell count (index 0 unused, length H), in one
+// linear pass over the arena's level column.
 func (t *Tree) LevelCellCounts() []int {
-	t.idxMu.Lock()
-	if t.indexes != nil {
-		counts := make([]int, t.H)
-		for _, ix := range t.indexes {
-			counts[ix.Level] = ix.n
-		}
-		t.idxMu.Unlock()
-		return counts
-	}
-	t.idxMu.Unlock()
-	return t.levelCellCountsWalk()
-}
-
-// levelCellCountsWalk counts every level's stored cells in one linear
-// pass over the arena's level column.
-func (t *Tree) levelCellCountsWalk() []int {
 	counts := make([]int, t.H)
 	for i := 1; i < len(t.level); i++ {
 		counts[t.level[i]]++

@@ -27,9 +27,10 @@ func indexTestTree(t *testing.T, d, n, H int, seed int64) (*Tree, *dataset.Datas
 }
 
 // TestLevelIndexMatchesWalk pins the flat snapshot against the tree
-// walk it replaces: same cells in the same deterministic order, paths,
-// O(1) coords and bounds identical to the Path methods, parents equal
-// to ParentCell, and Lookup the inverse of PathOf.
+// walk: the same cells, entries in strictly ascending key order (the
+// lexicographic order of their coordinate vectors), paths, coords and
+// bounds identical to the Path methods, parents equal to ParentCell,
+// and Find the inverse of PathOf.
 func TestLevelIndexMatchesWalk(t *testing.T) {
 	tr, _ := indexTestTree(t, 6, 3000, 5, 1)
 	for h := 1; h <= tr.H-1; h++ {
@@ -40,10 +41,20 @@ func TestLevelIndexMatchesWalk(t *testing.T) {
 		if ix.Len() != tr.LevelCellCount(h) {
 			t.Fatalf("level %d: index has %d entries, walk counts %d", h, ix.Len(), tr.LevelCellCount(h))
 		}
-		i := 0
+		for i := 1; i < ix.Len(); i++ {
+			if compareCoords(ix, i-1, i) >= 0 {
+				t.Fatalf("level %d: entries %d and %d out of coordinate order", h, i-1, i)
+			}
+		}
+		seen := 0
 		tr.WalkLevel(h, func(p Path, r Ref) {
+			i := ix.Find(p)
+			if i < 0 {
+				t.Fatalf("level %d: Find(%v) missed a stored cell", h, p)
+			}
+			seen++
 			if ix.Ref(i) != r {
-				t.Fatalf("level %d entry %d: cell differs from walk order", h, i)
+				t.Fatalf("level %d entry %d: Ref %d, walk %d", h, i, ix.Ref(i), r)
 			}
 			if ix.N(i) != tr.N(r) || ix.Used(i) != tr.Used(r) {
 				t.Fatalf("level %d entry %d: N/Used differ from the arena", h, i)
@@ -64,33 +75,46 @@ func TestLevelIndexMatchesWalk(t *testing.T) {
 			if got, want := ix.Parent(i), tr.ParentCell(p); got != want {
 				t.Fatalf("level %d entry %d: parent %d, want %d", h, i, got, want)
 			}
-			if got := ix.Lookup(p); got != i {
-				t.Fatalf("level %d: Lookup(%v) = %d, want %d", h, p, got, i)
-			}
-			i++
 		})
+		if seen != ix.Len() {
+			t.Fatalf("level %d: walk found %d cells, index holds %d", h, seen, ix.Len())
+		}
 	}
 }
 
-// TestLevelIndexNeighborLookup pins NeighborLookup against the
-// Path.Neighbor + CellAt reference for every entry, axis and side.
+// compareCoords orders entries a and b by their coordinate vectors,
+// axis 0 first.
+func compareCoords(ix *LevelIndex, a, b int) int {
+	for j := 0; j < ix.Dims(); j++ {
+		ca, cb := ix.Coord(a, j), ix.Coord(b, j)
+		if ca != cb {
+			if ca < cb {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// TestLevelIndexNeighborLookup pins Find over Path.Neighbor against
+// the CellAt reference for every entry, axis and side — absent
+// neighbours included.
 func TestLevelIndexNeighborLookup(t *testing.T) {
 	tr, _ := indexTestTree(t, 5, 2000, 4, 2)
 	for h := 1; h <= tr.H-1; h++ {
 		ix := tr.LevelIndex(h)
-		buf := make(Path, 0, h)
 		for i := 0; i < ix.Len(); i++ {
 			p := ix.PathOf(i)
 			for j := 0; j < tr.D; j++ {
 				for _, upper := range []bool{false, true} {
-					want := NilRef
-					if np, ok := p.Neighbor(j, upper); ok {
-						want = tr.CellAt(np)
+					np, ok := p.Neighbor(j, upper)
+					if !ok {
+						continue
 					}
+					want := tr.CellAt(np)
 					got := NilRef
-					var ni int
-					ni, buf = ix.NeighborLookup(i, j, upper, buf)
-					if ni >= 0 {
+					if ni := ix.Find(np); ni >= 0 {
 						got = ix.Ref(ni)
 					}
 					if got != want {
@@ -103,7 +127,8 @@ func TestLevelIndexNeighborLookup(t *testing.T) {
 }
 
 // TestLevelIndexLookupAbsent pins the miss path: paths addressing
-// unstored cells must return -1, not a false positive.
+// unstored cells, another level, or positions beyond the last axis
+// must return -1, not a false positive.
 func TestLevelIndexLookupAbsent(t *testing.T) {
 	ds := &dataset.Dataset{Dims: 2, Points: [][]float64{{0.1, 0.1}, {0.12, 0.11}}}
 	tr, err := Build(ds, 4)
@@ -111,11 +136,14 @@ func TestLevelIndexLookupAbsent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := tr.LevelIndex(2)
-	if got := ix.Lookup(Path{3, 3}); got != -1 {
-		t.Errorf("Lookup(absent) = %d, want -1", got)
+	if got := ix.Find(Path{3, 3}); got != -1 {
+		t.Errorf("Find(absent) = %d, want -1", got)
 	}
-	if got := ix.Lookup(Path{0}); got != -1 {
-		t.Errorf("Lookup(wrong level) = %d, want -1", got)
+	if got := ix.Find(Path{0}); got != -1 {
+		t.Errorf("Find(wrong level) = %d, want -1", got)
+	}
+	if got := ix.Find(Path{4, 0}); got != -1 {
+		t.Errorf("Find(position beyond the last axis) = %d, want -1", got)
 	}
 }
 

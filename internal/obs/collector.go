@@ -357,8 +357,8 @@ func (c *Collector) AddCacheFullRebuild() {
 	c.cacheRebuild.Add(1)
 }
 
-// AddIndexLookups merges one worker chunk's count of level-index
-// neighbor/cell resolutions (single atomic add per chunk).
+// AddIndexLookups adds a count of level-index point lookups (binary
+// searches) with one atomic add.
 func (c *Collector) AddIndexLookups(n int64) {
 	if c == nil || n == 0 {
 		return

@@ -145,8 +145,10 @@ type Counters struct {
 	// Config.NoCacheRepair baseline is set.
 	CacheRepairCells  int64 `json:"cacheRepairCells,omitempty"`
 	CacheFullRebuilds int64 `json:"cacheFullRebuilds,omitempty"`
-	// IndexLookups counts neighbor/cell resolutions served by the flat
-	// level indexes (coordinate-hash probes) in the scan hot path.
+	// IndexLookups counts point lookups in the level indexes: binary
+	// searches for the face neighbours the β-test reads. The face-mask
+	// values themselves come from sequential run-merge sweeps and make
+	// no lookups, so this stays at a few per β-test.
 	IndexLookups int64 `json:"indexLookups"`
 	// ArenaGrows counts arena slab reallocations (capacity doublings)
 	// across the tree build, including every parallel shard. A build
