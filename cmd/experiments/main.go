@@ -31,10 +31,10 @@
 // writing per-row phase-two wall times and speedups as JSON. CI runs
 // it at a small scale; EXPERIMENTS.md records the full-scale series.
 //
-// -benchbuild isolates phase one (the Counting-tree build): the serial
-// sorted-batch build at Workers=1, then BuildParallel at 4 and 8
-// workers, writing wall times, throughput, heap-allocation counts and
-// the arena/batch counters as JSON. CI runs it at a small scale;
+// -benchbuild isolates phase one (the Counting-tree build): the build
+// engine at Workers=1, then with 4 and 8 encoding workers, writing
+// wall times, throughput, heap-allocation counts and the arena/batch
+// counters as JSON. CI runs it at a small scale;
 // EXPERIMENTS.md records the full-scale series next to the pre-arena
 // baseline.
 //

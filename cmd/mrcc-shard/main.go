@@ -376,9 +376,6 @@ func checkSerial(ctx context.Context, opt options, merged *ctree.Tree, stdout io
 	if err != nil {
 		return fmt.Errorf("check-serial: %w", err)
 	}
-	if serial, err = ctree.Canonicalize(serial); err != nil {
-		return fmt.Errorf("check-serial: %w", err)
-	}
 	if !ctree.Equal(serial, merged) {
 		return fmt.Errorf("check-serial: merged tree differs from the single-process build")
 	}

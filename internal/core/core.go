@@ -118,8 +118,8 @@ type Config struct {
 	// exceeds the limit does the run return a *ResourceError.
 	DegradeOnMemoryLimit bool
 	// ExternalSpillDir, when non-empty, builds the Counting-tree
-	// out-of-core (ctree.BuildExternal): quantized points are sorted in
-	// bounded-memory chunks, spilled as runs under this directory, and
+	// out-of-core (ctree.BuildOptions.SpillDir): quantized points are
+	// sorted in bounded-memory runs, spilled under this directory, and
 	// k-way merged into the tree. The resulting tree — and therefore the
 	// whole clustering Result — is identical to the in-memory build's.
 	// In this mode MemoryLimitBytes bounds the spill sort buffer rather
@@ -275,7 +275,7 @@ func (r *Result) NumClusters() int { return len(r.Clusters) }
 // RunContext with a background context.
 //
 // With Config.Workers != 1 the Counting-tree is built from merged
-// per-goroutine shards (ctree.BuildParallel) and the convolution scan
+// per-goroutine shards (ctree.BuildParallelOpts) and the convolution scan
 // and point labeling fan out too; the result is bit-identical to the
 // serial run for every worker count.
 func Run(ds *dataset.Dataset, cfg Config) (*Result, error) {
@@ -353,19 +353,17 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (res *Resu
 // and otherwise becomes a *ResourceError.
 func buildTreeBounded(ctx context.Context, ds *dataset.Dataset, cfg Config, progress ctree.ProgressFunc) (*ctree.Tree, int, error) {
 	if cfg.ExternalSpillDir != "" {
-		// Out-of-core build: MemoryLimitBytes bounds the spill sort
-		// buffer inside BuildExternal, not the finished tree, so neither
-		// the degrade ladder nor the authoritative footprint check
-		// applies (validate rejects the DegradeOnMemoryLimit combination
-		// up front). The produced tree is identical to the in-memory
-		// build's (external_test.go), so everything downstream is too.
-		t, err := ctree.BuildExternal(ds, cfg.H, ctree.ExternalBuildOptions{
-			BuildOptions: ctree.BuildOptions{
-				Progress:         progress,
-				Ctx:              ctx,
-				MemoryLimitBytes: cfg.MemoryLimitBytes,
-			},
-			SpillDir: cfg.ExternalSpillDir,
+		// Out-of-core build: MemoryLimitBytes bounds the spilled run
+		// size, not the finished tree, so neither the degrade ladder nor
+		// the authoritative footprint check applies (validate rejects
+		// the DegradeOnMemoryLimit combination up front). The produced
+		// tree is identical to the in-memory build's (external_test.go),
+		// so everything downstream is too.
+		t, err := ctree.BuildParallelOpts(ds, cfg.H, ctree.BuildOptions{
+			Progress:         progress,
+			Ctx:              ctx,
+			MemoryLimitBytes: cfg.MemoryLimitBytes,
+			SpillDir:         cfg.ExternalSpillDir,
 		})
 		if err != nil {
 			return nil, 0, err

@@ -23,14 +23,15 @@ import (
 
 // faultPoints maps every core-pipeline injection point to the phase a
 // *PipelineError must name when the point fires. minWorkers marks
-// points that only exist on the parallel path (the shard merge).
+// points that only exist on the parallel path (none today: the tree
+// build's merge point fires on every build).
 var faultPoints = []struct {
 	point      string
 	phase      obs.Phase
 	minWorkers int
 }{
 	{fault.BuildChunk, obs.PhaseTreeBuild, 1},
-	{fault.BuildMerge, obs.PhaseTreeBuild, 2},
+	{fault.BuildMerge, obs.PhaseTreeBuild, 1},
 	{fault.ScanPass, obs.PhaseBetaSearch, 1},
 	{fault.ScanLevel, obs.PhaseBetaSearch, 1},
 	{fault.ScanChunk, obs.PhaseBetaSearch, 1},

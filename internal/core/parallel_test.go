@@ -21,7 +21,7 @@ func TestParallelTreeSameClustering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ctree.BuildParallel(ds, core.DefaultH, 4)
+	par, err := ctree.BuildParallelOpts(ds, core.DefaultH, ctree.BuildOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

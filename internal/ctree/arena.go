@@ -93,16 +93,16 @@ type Tree struct {
 	dmask uint64
 
 	// grows counts arena growth events (column reallocation), runs and
-	// runPoints the sorted-batch insertion runs (see batch.go); merged
+	// runPoints the build engine's counted key groups (build.go); merged
 	// shards fold their counters into the destination, so the root tree
 	// reports build-wide totals for the observability layer.
 	grows       int64
 	runs        int64
 	runPoints   int64
-	radixChunks int64 // chunks sorted by the LSD radix kernels (radix.go)
+	radixChunks int64 // runs sorted by the LSD radix kernel (radix.go)
 
-	// spillRuns/spillBytes record the external build's disk traffic
-	// (external.go): sorted runs spilled and bytes written. Zero for
+	// spillRuns/spillBytes record the out-of-core build's disk traffic
+	// (spill.go): sorted runs spilled and bytes written. Zero for
 	// in-memory builds and loaded snapshots.
 	spillRuns  int64
 	spillBytes int64
@@ -432,18 +432,19 @@ func (t *Tree) ArenaGrows() int64 { return t.grows }
 // a snapshot.
 func (t *Tree) SpillStats() (runs, bytes int64) { return t.spillRuns, t.spillBytes }
 
-// BatchRuns returns the sorted-batch insertion statistics: runs is the
-// number of maximal groups of consecutive (path-sorted) points sharing
-// one stored leaf path, and points the points covered by those runs,
-// so points/runs is the mean run length the batch inserter amortizes
-// over. Both accumulate across merged shards.
+// BatchRuns returns the build engine's counting statistics: runs is
+// the number of groups of merged (path-sorted) points sharing one
+// stored leaf path — one per distinct leaf path and build or batch —
+// and points the points covered by those groups, so points/runs is the
+// mean group length one descent amortizes over. Both accumulate across
+// merged shards.
 func (t *Tree) BatchRuns() (runs, points int64) { return t.runs, t.runPoints }
 
-// RadixChunks returns how many point chunks were ordered by the LSD
-// radix kernels (radix.go) during this tree's build — zero when every
-// chunk took the multi-word comparison-sort fallback or the tree was
-// built per-point. Merged shards fold their counts into the
-// destination, like the other build counters.
+// RadixChunks returns how many runs (one per encoding shard, spilled
+// run or inserted batch) were ordered by the LSD radix kernel
+// (radix.go) during this tree's build — zero when every run took the
+// multi-word permutation sort. Merged shards fold their counts into
+// the destination, like the other build counters.
 func (t *Tree) RadixChunks() int64 { return t.radixChunks }
 
 // popcountLower increments row[j] for every axis j whose bit is CLEAR

@@ -75,10 +75,10 @@ func TestMergeSingleCellShard(t *testing.T) {
 	}
 }
 
-// TestBatchBuildEqualsPerPointInsert pins the sorted batch inserter
-// against the per-point descent on layouts chosen to stress its run
-// detection: heavy duplicates, dense single-cell clumps, and a random
-// mix — including a duplicate run that straddles a sort-chunk boundary.
+// TestBatchBuildEqualsPerPointInsert pins the build engine against the
+// per-point descent on layouts chosen to stress its group detection:
+// heavy duplicates, dense single-cell clumps, and a random mix —
+// including a duplicate group that straddles a poll interval.
 func TestBatchBuildEqualsPerPointInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	d := 5
@@ -91,8 +91,8 @@ func TestBatchBuildEqualsPerPointInsert(t *testing.T) {
 		}
 		pts = append(pts, p)
 	}
-	// A duplicate block sized to straddle the buildReportEvery chunk
-	// boundary: identical points land in one run per chunk.
+	// A duplicate block sized to straddle the buildReportEvery poll
+	// interval: identical points still land in one group.
 	dup := []float64{0.31, 0.62, 0.93, 0.12, 0.44}
 	for len(pts) < buildReportEvery+2000 {
 		pts = append(pts, dup)
@@ -110,11 +110,9 @@ func TestBatchBuildEqualsPerPointInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perPoint := New(d, 5)
-	for i, p := range ds.Points {
-		if err := perPoint.Insert(p); err != nil {
-			t.Fatalf("point %d: %v", i, err)
-		}
+	perPoint, err := perPointTree(d, 5, ds.Points)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !treesEqual(t, batch, perPoint) {
 		t.Fatal("sorted batch build diverged from per-point insertion")
@@ -128,29 +126,31 @@ func TestBatchBuildEqualsPerPointInsert(t *testing.T) {
 	}
 }
 
-// TestBatchRunsOnIdenticalPoints pins the batch accounting on the
-// degenerate all-identical dataset: each sort chunk collapses to
-// exactly one run.
+// TestBatchRunsOnIdenticalPoints pins the group accounting on the
+// degenerate all-identical dataset: the whole build, across several
+// poll intervals and shards, collapses to exactly one group.
 func TestBatchRunsOnIdenticalPoints(t *testing.T) {
 	n := 2*buildReportEvery + 100
 	pts := make([][]float64, n)
 	for i := range pts {
 		pts[i] = []float64{0.25, 0.75, 0.5}
 	}
-	tr, err := Build(&dataset.Dataset{Dims: 3, Points: pts}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRuns := int64((n + buildReportEvery - 1) / buildReportEvery)
-	runs, runPoints := tr.BatchRuns()
-	if runs != wantRuns || runPoints != int64(n) {
-		t.Fatalf("BatchRuns = (%d, %d), want (%d, %d)", runs, runPoints, wantRuns, n)
-	}
-	if tr.Eta != n {
-		t.Fatalf("Eta = %d, want %d", tr.Eta, n)
-	}
-	if got := tr.CellCount(); got != int64(tr.H-1) {
-		t.Fatalf("identical points stored %d cells, want %d", got, tr.H-1)
+	for _, workers := range []int{1, 3} {
+		tr, err := BuildParallelOpts(&dataset.Dataset{Dims: 3, Points: pts}, 4, BuildOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const wantRuns = 1
+		runs, runPoints := tr.BatchRuns()
+		if runs != wantRuns || runPoints != int64(n) {
+			t.Fatalf("workers=%d: BatchRuns = (%d, %d), want (%d, %d)", workers, runs, runPoints, wantRuns, n)
+		}
+		if tr.Eta != n {
+			t.Fatalf("workers=%d: Eta = %d, want %d", workers, tr.Eta, n)
+		}
+		if got := tr.CellCount(); got != int64(tr.H-1) {
+			t.Fatalf("workers=%d: identical points stored %d cells, want %d", workers, got, tr.H-1)
+		}
 	}
 }
 
@@ -207,11 +207,9 @@ func TestWideFanOutUsesChildTable(t *testing.T) {
 			}
 		})
 	}
-	perPoint := New(d, 4)
-	for _, p := range ds.Points {
-		if err := perPoint.Insert(p); err != nil {
-			t.Fatal(err)
-		}
+	perPoint, err := perPointTree(d, 4, ds.Points)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !treesEqual(t, tr, perPoint) {
 		t.Fatal("wide fan-out batch build diverged from per-point insertion")

@@ -24,7 +24,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildParallel(ds, 4, workers); err != nil {
+				if _, err := BuildParallelOpts(ds, 4, BuildOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

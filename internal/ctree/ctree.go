@@ -8,12 +8,11 @@
 // a level holds at most η cells even though the full grid has 2^(dh).
 //
 // Cells live in an arena of structure-of-arrays slabs and are addressed
-// by int32 Refs — see arena.go for the layout and batch.go for the
-// sorted batch insertion Build runs on top of it.
+// by int32 Refs — see arena.go for the layout and build.go for the
+// build engine that fills it.
 package ctree
 
 import (
-	"fmt"
 	"math"
 
 	"mrcc/internal/dataset"
@@ -43,83 +42,10 @@ const MaxLevels = 60
 const MaxPoints = math.MaxInt32
 
 // Build constructs the Counting-tree for a dataset normalized to
-// [0,1)^d, with H resolutions (Algorithm 1). It is a single scan over
-// the data — O(η·H·d) time, O(H·η·d) space — executed in sorted
-// batches (batch.go): each chunk of points is quantized to the full
-// level-H grid once, sorted by its root-to-leaf cell path, and runs of
-// points sharing a path are counted in one descent.
+// [0,1)^d, with H resolutions (Algorithm 1): BuildParallelOpts with one
+// worker and no limits.
 func Build(ds *dataset.Dataset, H int) (*Tree, error) {
-	return buildReporting(ds, H, nil, nil)
-}
-
-// buildReportEvery is how many insertions a shard batches before
-// invoking the progress report. It is also the sorted-insertion chunk
-// size: one chunk is quantized, sorted and counted between two
-// checkpoints, so cancellation, injected faults and the memory cap are
-// still observed within one report interval of work.
-const buildReportEvery = 8192
-
-// buildReporting is Build with an optional progress report — report is
-// invoked with insertion-count deltas roughly every buildReportEvery
-// points (and once with the remainder); the observability layer hooks
-// the sharded parallel build through it — and an optional build
-// control (robust.go), polled at the same interval.
-func buildReporting(ds *dataset.Dataset, H int, report func(delta int), bc *buildControl) (*Tree, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, fmt.Errorf("ctree: empty dataset")
-	}
-	if ds.Dims > MaxDims {
-		return nil, fmt.Errorf("ctree: dimensionality %d exceeds the maximum %d", ds.Dims, MaxDims)
-	}
-	if H < MinLevels {
-		return nil, fmt.Errorf("ctree: H must be >= %d, got %d", MinLevels, H)
-	}
-	if H > MaxLevels {
-		return nil, fmt.Errorf("ctree: H must be <= %d, got %d", MaxLevels, H)
-	}
-	t := New(ds.Dims, H)
-	ins := newBatchInserter(t)
-	n := ds.Len()
-	for lo := 0; lo < n; lo += buildReportEvery {
-		hi := lo + buildReportEvery
-		if hi > n {
-			hi = n
-		}
-		if err := ins.insert(ds.Points[lo:hi], lo); err != nil {
-			return nil, err
-		}
-		if hi-lo == buildReportEvery {
-			if report != nil {
-				report(buildReportEvery)
-			}
-			if err := bc.check(t); err != nil {
-				return nil, err
-			}
-		} else if report != nil {
-			report(hi - lo)
-		}
-	}
-	if err := bc.check(t); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// locAtLevel computes the relative position bits of the level-h cell
-// containing p: bit j is the parity of floor(p[j]·2^h), i.e. whether the
-// point is in the upper half of its level-(h-1) cell along axis j.
-func locAtLevel(p []float64, h int) (uint64, error) {
-	var loc uint64
-	scale := float64(uint64(1) << uint(h))
-	for j, v := range p {
-		if v < 0 || v >= 1 || math.IsNaN(v) {
-			return 0, fmt.Errorf("axis %d value %g outside [0,1): dataset must be normalized", j, v)
-		}
-		if uint64(v*scale)&1 == 1 {
-			loc |= 1 << uint(j)
-		}
-	}
-	return loc, nil
+	return BuildParallelOpts(ds, H, BuildOptions{Workers: 1})
 }
 
 // SideLen returns ξh = 1/2^h, the cell side length at level h.

@@ -10,13 +10,21 @@ import (
 )
 
 // externalRunCount derives how many spill runs a dataset of n points
-// produces at the given RunPoints override.
+// produces at the given run size.
 func externalRunCount(n, runPoints int) int {
 	return (n + runPoints - 1) / runPoints
 }
 
-// TestBuildExternalEqualsBuildParallel pins the tentpole equivalence:
-// the spill-and-merge build with 1, 2 and 7 runs produces a tree
+// spilled is the out-of-core build with the run size forced to
+// runPoints (0 derives it from opt.MemoryLimitBytes).
+func spilled(ds *dataset.Dataset, H int, dir string, runPoints int, opt BuildOptions) (*Tree, error) {
+	opt.SpillDir = dir
+	opt.runPoints = runPoints
+	return BuildParallelOpts(ds, H, opt)
+}
+
+// TestBuildExternalEqualsBuildParallel pins the out-of-core
+// equivalence: the build from 1, 2 and 7 spilled runs produces a tree
 // cell-for-cell identical to the in-memory build, with identical
 // MemoryBytes — on both the packed single-word key layout and the
 // multi-word layout (d·(H-1) > 64).
@@ -29,7 +37,7 @@ func TestBuildExternalEqualsBuildParallel(t *testing.T) {
 	}
 	for _, s := range shapes {
 		ds := uniformDataset(t, s.d, s.n, int64(s.d))
-		want, err := BuildParallel(ds, s.H, 0)
+		want, err := BuildParallelOpts(ds, s.H, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,8 +46,7 @@ func TestBuildExternalEqualsBuildParallel(t *testing.T) {
 			if got := externalRunCount(s.n, runPoints); got != runs {
 				t.Fatalf("test setup: runPoints %d gives %d runs, want %d", runPoints, got, runs)
 			}
-			opt := ExternalBuildOptions{RunPoints: runPoints, SpillDir: t.TempDir()}
-			got, err := BuildExternal(ds, s.H, opt)
+			got, err := spilled(ds, s.H, t.TempDir(), runPoints, BuildOptions{})
 			if err != nil {
 				t.Fatalf("d=%d runs=%d: %v", s.d, runs, err)
 			}
@@ -74,7 +81,7 @@ func TestBuildExternalDuplicateHeavy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := BuildExternal(ds, 4, ExternalBuildOptions{RunPoints: 9000, SpillDir: t.TempDir()})
+	got, err := spilled(ds, 4, t.TempDir(), 9000, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +99,14 @@ func TestBuildExternalDuplicateHeavy(t *testing.T) {
 func TestBuildExternalMemoryBudget(t *testing.T) {
 	const n = 60_000
 	ds := uniformDataset(t, 5, n, 31)
-	want, err := BuildParallel(ds, 4, 0)
+	want, err := BuildParallelOpts(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, recWords := spillRecordWords(5, 4)
-	streamBytes := uint64(n * (recWords*8 + 4))
-	got, err := BuildExternal(ds, 4, ExternalBuildOptions{
-		BuildOptions: BuildOptions{MemoryLimitBytes: streamBytes / 10},
-		SpillDir:     t.TempDir(),
+	streamBytes := uint64(n * ExternalRecordBytes(5, 4))
+	got, err := BuildParallelOpts(ds, 4, BuildOptions{
+		MemoryLimitBytes: streamBytes / 10,
+		SpillDir:         t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +128,7 @@ func TestBuildExternalMemoryBudget(t *testing.T) {
 func TestBuildExternalCleansSpillDir(t *testing.T) {
 	dir := t.TempDir()
 	ds := uniformDataset(t, 4, 10_000, 17)
-	if _, err := BuildExternal(ds, 4, ExternalBuildOptions{RunPoints: 2500, SpillDir: dir}); err != nil {
+	if _, err := spilled(ds, 4, dir, 2500, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -135,31 +141,26 @@ func TestBuildExternalCleansSpillDir(t *testing.T) {
 }
 
 // TestBuildExternalCancel pins cooperative cancellation in both
-// phases: a pre-cancelled context aborts during the spill, a context
-// cancelled from the progress callback aborts mid-merge; both leave
-// the spill directory empty.
+// stages: a pre-cancelled context aborts while encoding the first run,
+// a context cancelled from the progress callback aborts mid-merge;
+// both leave the spill directory empty.
 func TestBuildExternalCancel(t *testing.T) {
 	dir := t.TempDir()
 	ds := uniformDataset(t, 4, 30_000, 23)
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := BuildExternal(ds, 4, ExternalBuildOptions{
-		BuildOptions: BuildOptions{Ctx: cancelled},
-		SpillDir:     dir,
-	})
+	_, err := BuildParallelOpts(ds, 4, BuildOptions{Ctx: cancelled, SpillDir: dir})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled context: got %v, want context.Canceled", err)
 	}
 
 	ctx, cancelMid := context.WithCancel(context.Background())
-	_, err = BuildExternal(ds, 4, ExternalBuildOptions{
-		BuildOptions: BuildOptions{
-			Ctx: ctx,
-			// Progress only fires from the merge loop: cancelling here
-			// aborts mid-merge.
-			Progress: func(done, total int) { cancelMid() },
-		},
+	_, err = BuildParallelOpts(ds, 4, BuildOptions{
+		Ctx: ctx,
+		// Progress only fires from the merge loop: cancelling here
+		// aborts mid-merge.
+		Progress: func(done, total int) { cancelMid() },
 		SpillDir: dir,
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -178,22 +179,24 @@ func TestBuildExternalCancel(t *testing.T) {
 // TestBuildExternalValidation mirrors the in-memory build's input
 // validation.
 func TestBuildExternalValidation(t *testing.T) {
-	if _, err := BuildExternal(nil, 4, ExternalBuildOptions{}); err == nil {
+	dir := t.TempDir()
+	opt := BuildOptions{SpillDir: dir}
+	if _, err := BuildParallelOpts(nil, 4, opt); err == nil {
 		t.Error("nil dataset accepted")
 	}
-	if _, err := BuildExternal(dataset.New(3, 0), 4, ExternalBuildOptions{}); err == nil {
+	if _, err := BuildParallelOpts(dataset.New(3, 0), 4, opt); err == nil {
 		t.Error("empty dataset accepted")
 	}
 	ds := uniformDataset(t, 3, 10, 1)
-	if _, err := BuildExternal(ds, 2, ExternalBuildOptions{}); err == nil {
+	if _, err := BuildParallelOpts(ds, 2, opt); err == nil {
 		t.Error("H below MinLevels accepted")
 	}
 	bad := dataset.New(2, 1)
 	bad.Append([]float64{0.5, 1.5})
-	if _, err := BuildExternal(bad, 4, ExternalBuildOptions{}); err == nil {
+	if _, err := BuildParallelOpts(bad, 4, opt); err == nil {
 		t.Error("out-of-cube point accepted")
 	}
-	if _, err := BuildExternal(ds, 4, ExternalBuildOptions{SpillDir: "/nonexistent/dir/for/mrcc"}); err == nil {
+	if _, err := BuildParallelOpts(ds, 4, BuildOptions{SpillDir: "/nonexistent/dir/for/mrcc"}); err == nil {
 		t.Error("unwritable spill parent accepted")
 	}
 }
@@ -204,20 +207,16 @@ func TestBuildExternalProgress(t *testing.T) {
 	const n = 20_000
 	ds := uniformDataset(t, 3, n, 41)
 	last, calls := 0, 0
-	_, err := BuildExternal(ds, 4, ExternalBuildOptions{
-		BuildOptions: BuildOptions{Progress: func(done, total int) {
-			if total != n {
-				t.Fatalf("progress total %d, want %d", total, n)
-			}
-			if done < last {
-				t.Fatalf("progress went backwards: %d after %d", done, last)
-			}
-			last = done
-			calls++
-		}},
-		SpillDir: t.TempDir(),
-		RunPoints: 6000,
-	})
+	_, err := spilled(ds, 4, t.TempDir(), 6000, BuildOptions{Progress: func(done, total int) {
+		if total != n {
+			t.Fatalf("progress total %d, want %d", total, n)
+		}
+		if done < last {
+			t.Fatalf("progress went backwards: %d after %d", done, last)
+		}
+		last = done
+		calls++
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

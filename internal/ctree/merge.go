@@ -1,61 +1,6 @@
 package ctree
 
-import (
-	"fmt"
-	"math"
-
-	"mrcc/internal/dataset"
-)
-
-// Insert counts one additional point (in [0,1)^d) into the tree,
-// exactly as Build's batched scan does. The clustering phase can then
-// be re-run over the updated tree, which is how a downstream system
-// keeps clusters fresh while data streams in (InsertBatch amortizes
-// the descent over sorted chunks when points arrive in batches).
-//
-// Insert refuses to count past MaxPoints: the N and P counters are
-// int32 and the counts would otherwise silently wrap.
-func (t *Tree) Insert(p []float64) error {
-	if len(p) != t.D {
-		return fmt.Errorf("ctree: point has %d values, want %d", len(p), t.D)
-	}
-	if t.Eta >= MaxPoints {
-		return fmt.Errorf("ctree: tree already counts %d points, the int32 cell-counter maximum (MaxPoints); shard larger datasets into separate trees", t.Eta)
-	}
-	// Validate and quantize every axis once at level H before touching
-	// the tree; per-level locs are bit slices of the level-H coordinate
-	// (bit-exact with locAtLevel, see batch.go).
-	var qs [MaxDims]uint64
-	scale := float64(uint64(1) << uint(t.H))
-	for j, v := range p {
-		if v < 0 || v >= 1 || math.IsNaN(v) {
-			return fmt.Errorf("ctree: axis %d value %g outside [0,1): dataset must be normalized", j, v)
-		}
-		qs[j] = uint64(v * scale)
-	}
-	t.invalidateIndexes()
-	cur := rootRef
-	prev := NilRef
-	for h := 1; h <= t.H-1; h++ {
-		var loc uint64
-		for j := 0; j < t.D; j++ {
-			loc |= ((qs[j] >> uint(t.H-h)) & 1) << uint(j)
-		}
-		c, _ := t.ensureChild(cur, loc)
-		t.n[c]++
-		if prev >= 0 {
-			popcountLower(t.PRow(prev), loc, t.dmask)
-		}
-		cur, prev = c, c
-	}
-	var leaf uint64
-	for j := 0; j < t.D; j++ {
-		leaf |= (qs[j] & 1) << uint(j)
-	}
-	popcountLower(t.PRow(prev), leaf, t.dmask)
-	t.Eta++
-	return nil
-}
+import "fmt"
 
 // MergeFrom adds every count of other into t. Both trees must have the
 // same dimensionality and resolution count. other is left untouched;
@@ -109,26 +54,4 @@ func (t *Tree) MergeFrom(other *Tree) error {
 	t.runPoints += other.runPoints
 	t.radixChunks += other.radixChunks
 	return nil
-}
-
-// ProgressFunc reports build progress: done of total points have been
-// counted into the tree. Shard goroutines may invoke it concurrently;
-// BuildParallelProgress callers that need serialization must provide it
-// (the obs.Collector does).
-type ProgressFunc func(done, total int)
-
-// BuildParallel builds the Counting-tree with `workers` goroutines, each
-// counting a shard of the dataset into a private tree, then merging.
-// It produces exactly the same counts as Build (cell iteration order may
-// differ, but the clustering phase's deterministic tie-break makes the
-// final clustering identical). workers <= 0 selects GOMAXPROCS.
-func BuildParallel(ds *dataset.Dataset, H, workers int) (*Tree, error) {
-	return BuildParallelProgress(ds, H, workers, nil)
-}
-
-// BuildParallelProgress is BuildParallel with an optional progress
-// callback, invoked with the cumulative insertion count roughly every
-// few thousand points. A nil progress adds no overhead.
-func BuildParallelProgress(ds *dataset.Dataset, H, workers int, progress ProgressFunc) (*Tree, error) {
-	return BuildParallelOpts(ds, H, BuildOptions{Workers: workers, Progress: progress})
 }

@@ -50,6 +50,13 @@ func TestInsertMatchesBuild(t *testing.T) {
 	if !treesEqual(t, built, incremental) {
 		t.Fatal("incremental insertion diverged from Build")
 	}
+	oracle, err := perPointTree(4, 4, ds.Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(oracle, incremental) {
+		t.Fatal("incremental insertion diverged from the per-point oracle")
+	}
 }
 
 func TestInsertValidation(t *testing.T) {
@@ -217,7 +224,7 @@ func TestBuildParallelEqualsBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
-		par, err := BuildParallel(ds, 4, workers)
+		par, err := BuildParallelOpts(ds, 4, BuildOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -228,7 +235,7 @@ func TestBuildParallelEqualsBuild(t *testing.T) {
 }
 
 func TestBuildParallelEmpty(t *testing.T) {
-	if _, err := BuildParallel(dataset.New(3, 0), 4, 2); err == nil {
+	if _, err := BuildParallelOpts(dataset.New(3, 0), 4, BuildOptions{Workers: 2}); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }

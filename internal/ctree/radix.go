@@ -1,84 +1,22 @@
 // LSD radix sorting of packed path keys — the build's Morton sort
 // (DESIGN.md §12).
 //
-// The sorted batch insertion (batch.go) and the merged-stream parallel
-// build (robust.go) both order points by their packed root-to-leaf path
-// key before counting. The keys are dense unsigned integers (d·(H-1)
-// bits for the single-word layout), which makes an LSD counting sort
+// The build engine's encode stage (build.go) orders each run by its
+// packed root-to-leaf path key before counting. The keys are dense
+// unsigned integers (d·(H-1) bits), which makes an LSD counting sort
 // strictly cheaper than comparison sorting: one histogram pass over all
 // eight byte lanes, then one scatter pass per byte lane that actually
 // varies. Constant lanes — the top bytes of a 45-bit key, or any lane
-// the chunk's keys happen to agree on — are skipped outright, so a
-// 15-dim H=4 chunk pays ~6 scatter passes instead of an O(m·log m)
-// comparison sort with an interface or closure call per comparison.
+// the run's keys happen to agree on — are skipped outright, so a
+// 15-dim H=4 run pays ~6 scatter passes instead of an O(m·log m)
+// comparison sort with a closure call per comparison.
 //
-// Two layouts cover every key shape:
-//
-//   - radixSortCombo sorts one word per point that packs (key << idxBits
-//     | original index). Sorting the combined word yields exactly the
-//     (key asc, index asc) total order the batch inserter needs, with
-//     the tie-break for free. It applies whenever keyBits + idxBits
-//     <= 64 — every chunk of the default build (45-bit key, 13-bit
-//     chunk index).
-//   - radixSortPairs sorts a key column with one uint64 payload column
-//     riding along (the level-H parity word of the merged-stream build,
-//     or an index column when the combo word would overflow). LSD
-//     counting passes are stable, so equal keys keep their arrival
-//     order — the same tie-break, encoded positionally.
-//
-// Multi-word keys (d·(H-1) > 64) fall back to slices.SortFunc over the
-// permutation with a lexicographic word comparison (batch.go); the
-// radix kernels are deliberately single-word.
+// The level-H parity word rides along as the payload column. LSD
+// counting passes are stable, so equal keys keep their arrival order:
+// the (key, arrival) tie-break is encoded positionally. Multi-word
+// keys (d·(H-1) > 64) sort a permutation instead (codec.go); the radix
+// kernel is deliberately single-word.
 package ctree
-
-// radixSortCombo sorts a ascending in place (ping-ponging with tmp,
-// which must have the same length) and returns the slice that holds
-// the sorted data — a or tmp, depending on how many byte lanes varied.
-// The caller keeps both slices alive and reads the returned one.
-func radixSortCombo(a, tmp []uint64) []uint64 {
-	n := len(a)
-	if n < 2 {
-		return a
-	}
-	// One pass over the data builds all eight byte-lane histograms;
-	// lane counts are permutation-invariant, so the histograms stay
-	// valid across scatter passes.
-	var hist [8][256]int32
-	for _, v := range a {
-		hist[0][v&0xff]++
-		hist[1][(v>>8)&0xff]++
-		hist[2][(v>>16)&0xff]++
-		hist[3][(v>>24)&0xff]++
-		hist[4][(v>>32)&0xff]++
-		hist[5][(v>>40)&0xff]++
-		hist[6][(v>>48)&0xff]++
-		hist[7][v>>56]++
-	}
-	src, dst := a, tmp
-	for lane := 0; lane < 8; lane++ {
-		h := &hist[lane]
-		shift := uint(8 * lane)
-		// A lane where every key agrees (all counts in one bucket)
-		// permutes nothing; skip the scatter pass. Probing the bucket of
-		// any element works because lane counts ignore order.
-		if int(h[(src[0]>>shift)&0xff]) == n {
-			continue
-		}
-		var pos [256]int32
-		var sum int32
-		for b := 0; b < 256; b++ {
-			pos[b] = sum
-			sum += h[b]
-		}
-		for _, v := range src {
-			b := (v >> shift) & 0xff
-			dst[pos[b]] = v
-			pos[b]++
-		}
-		src, dst = dst, src
-	}
-	return src
-}
 
 // radixSortPairs stable-sorts the key column ascending, carrying the
 // payload column along (payload[i] stays attached to key[i]). keyTmp

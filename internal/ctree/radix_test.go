@@ -8,6 +8,10 @@ import (
 	"testing"
 )
 
+// TestRadixSortCombo pins the combined (key, arrival) order the build
+// relies on: radix-sorting a key column with the arrival index as the
+// payload must yield exactly the order of the combined (key, index)
+// words under a plain comparison sort.
 func TestRadixSortCombo(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := map[string][]uint64{
@@ -30,16 +34,49 @@ func TestRadixSortCombo(t *testing.T) {
 	cases["random"] = random
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
-			want := slices.Clone(in)
-			slices.Sort(want)
-			a := slices.Clone(in)
-			tmp := make([]uint64, len(a))
-			got := radixSortCombo(a, tmp)
-			if !slices.Equal(got, want) {
-				t.Fatalf("radixSortCombo diverged from slices.Sort\n got %v\nwant %v", got, want)
+			type rec struct{ k, i uint64 }
+			want := make([]rec, len(in))
+			idx := make([]uint64, len(in))
+			for i, k := range in {
+				want[i] = rec{k, uint64(i)}
+				idx[i] = uint64(i)
+			}
+			slices.SortFunc(want, func(a, b rec) int {
+				if a.k != b.k {
+					return cmpU64(a.k, b.k)
+				}
+				return cmpU64(a.i, b.i)
+			})
+			n := len(in)
+			gk, gi := radixSortPairs(slices.Clone(in), idx, make([]uint64, n), make([]uint64, n))
+			for i := range want {
+				if gk[i] != want[i].k || gi[i] != want[i].i {
+					t.Fatalf("pos %d: radix pair sort gave (%d,%d), combined order wants (%d,%d)",
+						i, gk[i], gi[i], want[i].k, want[i].i)
+				}
 			}
 		})
 	}
+}
+
+func cmpU64(a, b uint64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// leafParity is the slow reference of the level-H parity word: bit j
+// is the low bit of the axis-j grid coordinate.
+func leafParity(qi []uint64, d int) uint64 {
+	var leaf uint64
+	for j := 0; j < d; j++ {
+		leaf |= (qi[j] & 1) << uint(j)
+	}
+	return leaf
 }
 
 func TestRadixSortPairsStable(t *testing.T) {
@@ -66,8 +103,8 @@ func TestRadixSortPairsStable(t *testing.T) {
 	}
 }
 
-// TestQuantizePackedKeyMatchesSlow pins the fused branch-reduced
-// quantizer bit-identical to the slow per-level kernel (quantizeLevelH
+// TestQuantizePackedKeyMatchesSlow pins the codec's branch-reduced
+// encoder bit-identical to the slow per-level kernel (quantizeLevelH
 // + packedPathKey + leafParity) over random points and the boundary
 // bit patterns the single-comparison validation must classify exactly:
 // ±0.0, the largest float below 1.0, denormals, and every invalid
@@ -75,11 +112,17 @@ func TestRadixSortPairsStable(t *testing.T) {
 func TestQuantizePackedKeyMatchesSlow(t *testing.T) {
 	const d, H = 15, 4
 	rng := rand.New(rand.NewSource(3))
+	c := newKeyCodec(d, H)
+	if c.words != 1 {
+		t.Fatalf("d=%d H=%d: %d key words, want the packed layout", d, H, c.words)
+	}
 	check := func(p []float64) {
 		t.Helper()
 		qi := make([]uint64, d)
 		err := quantizeLevelH(p, d, H, qi, 0)
-		k, lf, ok := quantizePackedKey(p, d, H, make([]uint64, d))
+		kw := make([]uint64, 1)
+		lf, ok := c.encode(p, make([]uint64, d), kw)
+		k := kw[0]
 		if ok != (err == nil) {
 			t.Fatalf("point %v: fast ok=%v, slow err=%v — validators disagree", p, ok, err)
 		}
@@ -134,6 +177,7 @@ func TestQuantizePackedKeyMatchesSlow(t *testing.T) {
 func TestQuantizeKeyWordsMatchesSlow(t *testing.T) {
 	const d, H = 20, 5 // 20·4 = 80 key bits
 	rng := rand.New(rand.NewSource(5))
+	c := newKeyCodec(d, H)
 	qi := make([]uint64, d)
 	wantKW := make([]uint64, H-1)
 	kw := make([]uint64, H-1)
@@ -146,7 +190,7 @@ func TestQuantizeKeyWordsMatchesSlow(t *testing.T) {
 			t.Fatal(err)
 		}
 		pathKeyWords(qi, d, H, wantKW)
-		lf, ok := quantizeKeyWords(p, d, H, kw, make([]uint64, d))
+		lf, ok := c.encode(p, make([]uint64, d), kw)
 		if !ok {
 			t.Fatalf("valid point rejected: %v", p)
 		}
@@ -159,31 +203,31 @@ func TestQuantizeKeyWordsMatchesSlow(t *testing.T) {
 	}
 	p := make([]float64, d)
 	p[d-1] = math.NaN()
-	if _, ok := quantizeKeyWords(p, d, H, kw, qi); ok {
+	if _, ok := c.encode(p, qi, kw); ok {
 		t.Fatal("NaN accepted by multi-word quantizer")
 	}
 }
 
-// TestBatchLayoutsMatchPerPointInsert forces each of the three chunk
-// sort layouts — combo (key+index in one word), pair radix (packed key
-// whose combo word would overflow), multi-word comparison fallback —
-// and pins the resulting tree cell-identical to per-point insertion.
+// TestBatchLayoutsMatchPerPointInsert covers the key shapes — a short
+// packed key, a packed key using most of its word, and the multi-word
+// layout — and pins the resulting tree cell-identical to per-point
+// insertion.
 func TestBatchLayoutsMatchPerPointInsert(t *testing.T) {
 	cases := []struct {
 		name   string
 		d, H   int
 		layout string
 	}{
-		// 5·3 = 15 key bits + 13 index bits: combo.
+		// 5·3 = 15 key bits: packed, radix-sorted.
 		{"combo_d5_H4", 5, 4, "combo"},
-		// 19·3 = 57 key bits + 13 index bits = 70 > 64: pair radix.
+		// 19·3 = 57 key bits: packed, radix-sorted.
 		{"pairs_d19_H4", 19, 4, "pairs"},
-		// 15·5 = 75 key bits > 64: multi-word fallback.
+		// 15·5 = 75 key bits > 64: multi-word permutation sort.
 		{"multiword_d15_H6", 15, 6, "multiword"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n := 9000 // > buildReportEvery so at least one full chunk sorts
+			n := 9000 // > buildReportEvery, so the encoder polls twice
 			ds := uniformDataset(t, tc.d, n, 42)
 			// Duplicate a block of points so equal keys actually occur
 			// and the tie-break/stability paths are exercised.
@@ -194,11 +238,9 @@ func TestBatchLayoutsMatchPerPointInsert(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			perPoint := New(tc.d, tc.H)
-			for _, p := range ds.Points {
-				if err := perPoint.Insert(p); err != nil {
-					t.Fatal(err)
-				}
+			perPoint, err := perPointTree(tc.d, tc.H, ds.Points)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if !treesEqual(t, batched, perPoint) {
 				t.Fatal("batched build diverged from per-point insertion")
@@ -215,9 +257,9 @@ func TestBatchLayoutsMatchPerPointInsert(t *testing.T) {
 	}
 }
 
-// TestBatchInsertErrorMessagesUnchanged pins the chunked fast path to
-// the historical per-point error text: the fused validator flags the
-// chunk, the slow validator re-derives the exact message.
+// TestBatchInsertErrorMessagesUnchanged pins the encoder's fast path
+// to the historical per-point error text: the fused validator flags
+// the point, the slow validator re-derives the exact message.
 func TestBatchInsertErrorMessagesUnchanged(t *testing.T) {
 	d := 5
 	ds := uniformDataset(t, d, 50, 9)
@@ -266,23 +308,25 @@ func TestHashLocDistributes(t *testing.T) {
 	}
 }
 
-// BenchmarkQuantize measures the fused branch-reduced quantize+pack
-// kernel against the slow per-level kernel it bypasses, over one
-// build-sized chunk (points/s is the chunk's points per wall second).
+// BenchmarkQuantize measures the codec's branch-reduced quantize+pack
+// encoder against the slow per-level kernel it bypasses, over one
+// poll interval's worth of points (points/s per wall second).
 func BenchmarkQuantize(b *testing.B) {
 	const d, H, m = 15, 4, 8192
 	pts := uniformDataset(b, d, m, 1).Points
 	b.Run("fused", func(b *testing.B) {
 		b.ReportAllocs()
 		qi := make([]uint64, d)
+		kw := make([]uint64, 1)
+		c := newKeyCodec(d, H)
 		var sink uint64
 		for i := 0; i < b.N; i++ {
 			for _, p := range pts {
-				k, lf, ok := quantizePackedKey(p, d, H, qi)
+				lf, ok := c.encode(p, qi, kw)
 				if !ok {
 					b.Fatal("rejected valid point")
 				}
-				sink ^= k + lf
+				sink ^= kw[0] + lf
 			}
 		}
 		b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
@@ -305,26 +349,24 @@ func BenchmarkQuantize(b *testing.B) {
 	})
 }
 
-// BenchmarkMortonSort measures the LSD radix combo sort against the
-// generic comparison sort it replaced, on one build-sized chunk of
-// 58-bit combo words (45-bit key + 13-bit index, the d=15 H=4 shape).
+// BenchmarkMortonSort measures the LSD radix pair sort against the
+// generic comparison sort it replaced, on 8192 45-bit keys (the d=15
+// H=4 shape) with their parity payload.
 func BenchmarkMortonSort(b *testing.B) {
 	const m = 8192
 	rng := rand.New(rand.NewSource(2))
 	orig := make([]uint64, m)
 	for i := range orig {
-		orig[i] = (rng.Uint64() & (1<<45 - 1)) << 13
-	}
-	for i := range orig {
-		orig[i] |= uint64(i)
+		orig[i] = rng.Uint64() & (1<<45 - 1)
 	}
 	b.Run("radix", func(b *testing.B) {
 		b.ReportAllocs()
 		a := make([]uint64, m)
-		tmp := make([]uint64, m)
+		pay := make([]uint64, m)
+		tmp, payTmp := make([]uint64, m), make([]uint64, m)
 		for i := 0; i < b.N; i++ {
 			copy(a, orig)
-			radixSortCombo(a, tmp)
+			radixSortPairs(a, pay, tmp, payTmp)
 		}
 		b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 	})

@@ -97,7 +97,7 @@ func TestBuildMemoryLimit(t *testing.T) {
 // inserts.
 func TestCellCountMatchesLevels(t *testing.T) {
 	ds := randDataset(t, 3000, 5, 4)
-	tr, err := BuildParallel(ds, 4, 4)
+	tr, err := BuildParallelOpts(ds, 4, BuildOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,19 @@
 // Streaming support: public batch insertion and deep cloning — the two
 // tree operations the long-running service (internal/serve) layers its
 // two-tree window rotation and RCU view publication on. InsertBatch
-// folds a whole point batch into a live tree through the same sorted
-// batch insertion Build uses (batch.go); Clone produces an independent
+// folds a whole point batch into a live tree through the same build
+// engine Build uses (build.go); Clone produces an independent
 // tree the re-cluster loop can merge and scan while ingestion keeps
 // mutating the original.
 package ctree
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // InsertBatch counts a batch of points (each in [0,1)^d) into the
-// tree, exactly as Build's batched scan does: the batch is processed
-// in sorted chunks, so runs of points sharing a cell path are counted
-// in one descent instead of len(points) separate root-to-leaf walks.
+// tree through the build engine (build.go): the batch is encoded as
+// one sorted run and counted in one merge pass, so runs of points
+// sharing a cell path are counted in one descent instead of len(points)
+// separate root-to-leaf walks.
 //
 // Every point is validated before the tree is touched, so an error —
 // wrong dimensionality, a value outside [0,1), or a batch that would
@@ -32,31 +30,20 @@ func (t *Tree) InsertBatch(points [][]float64) error {
 		return fmt.Errorf("ctree: inserting %d points into a tree counting %d exceeds the int32 cell-counter maximum %d (MaxPoints); shard into separate trees",
 			m, t.Eta, int64(MaxPoints))
 	}
-	for i, p := range points {
-		if len(p) != t.D {
-			return fmt.Errorf("ctree: point %d has %d values, want %d", i, len(p), t.D)
-		}
-		for j, v := range p {
-			if v < 0 || v >= 1 || math.IsNaN(v) {
-				return fmt.Errorf("ctree: point %d: axis %d value %g outside [0,1): dataset must be normalized", i, j, v)
-			}
-		}
+	c := newKeyCodec(t.D, t.H)
+	cu, err := encodeRun(c, points, 0, nil)
+	if err != nil {
+		return err
 	}
-	// Everything is validated and the count fits, so the chunked insert
-	// below cannot fail (its only error sources are the validation and
-	// overflow conditions excluded above).
-	ins := newBatchInserter(t)
-	for lo := 0; lo < m; lo += buildReportEvery {
-		hi := lo + buildReportEvery
-		if hi > m {
-			hi = m
-		}
-		if err := ins.insert(points[lo:hi], lo); err != nil {
-			return err
-		}
-	}
-	return nil
+	// A validated in-memory run cannot fail to count.
+	return countMerged(t, c, []*cursor{cu}, nil, nil)
 }
+
+// Insert counts one additional point (in [0,1)^d) into the tree: a
+// one-point InsertBatch, with the same validation and the same
+// MaxPoints refusal. The clustering phase can then be re-run over the
+// updated tree.
+func (t *Tree) Insert(p []float64) error { return t.InsertBatch([][]float64{p}) }
 
 // Clone returns a deep, independent copy of the tree: all arena
 // columns, the half-space slab and the child tables are copied at

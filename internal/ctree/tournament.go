@@ -9,12 +9,11 @@
 // reduction shape — but its ARENA ORDER (and therefore its snapshot
 // bytes) depends on the merge walk. Canonicalize closes that gap: it
 // rewrites any tree into the one canonical arena order (DFS preorder,
-// siblings ascending by Loc), which is exactly the order a
-// single-chunk serial build creates cells in, because the batch
-// inserter's packed path keys are level-major (level-1 position in the
-// most significant bits, see packedPathKey in batch.go) and sorted
-// ascending. Two canonicalized trees that are Equal serialize to
-// byte-identical treeio snapshots.
+// siblings ascending by Loc), which is exactly the order every build
+// creates cells in, because the build engine counts points in
+// ascending path-key order and its keys are level-major (level-1
+// position most significant, see codec.go). Two canonicalized trees
+// that are Equal serialize to byte-identical treeio snapshots.
 package ctree
 
 import (
@@ -94,11 +93,11 @@ func MergeTournament(trees []*Tree, parallel int, check func() error) (*Tree, in
 
 // Canonicalize returns a tree storing exactly the same cells in the
 // canonical arena order: DFS preorder with every parent's children
-// ascending by Loc. A single-chunk serial build (η <= buildReportEvery
-// points) already creates cells in this order — its sorted, level-major
-// packed path keys ARE the preorder walk — so canonicalizing any
-// equal tree (a tournament merge, a multi-chunk build, a parallel
-// build) makes their treeio snapshots byte-identical. When the tree is
+// ascending by Loc. Every build (build.go) already creates cells in
+// this order — its sorted, level-major path keys ARE the preorder walk
+// — so canonicalizing an equal tree assembled another way (a
+// tournament merge, batches inserted into a live tree) makes their
+// treeio snapshots byte-identical. When the tree is
 // already canonical it is returned unchanged; otherwise a rewritten
 // tree is returned and the input is left untouched. Build statistics
 // (BatchRuns, RadixChunks, ArenaGrows) carry over, and MemoryBytes is

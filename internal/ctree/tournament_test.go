@@ -137,9 +137,10 @@ func TestCanonicalizeMatchesSingleChunkBuild(t *testing.T) {
 	}
 }
 
-// TestCanonicalizeMultiChunk checks that canonicalizing a multi-chunk
-// serial build and a tournament merge of the same dataset land on the
-// same arena layout (neither input order is canonical on its own).
+// TestCanonicalizeMultiChunk checks that canonicalizing a serial build
+// spanning several poll intervals and a tournament merge of the same
+// dataset land on the same arena layout (the merge's own order is not
+// canonical).
 func TestCanonicalizeMultiChunk(t *testing.T) {
 	ds := uniformDataset(t, 4, 3*buildReportEvery+100, 7)
 	serial, err := Build(ds, 4)

@@ -32,8 +32,8 @@ type BenchBuildRecord struct {
 	Points    int     `json:"points"`
 	Dims      int     `json:"dims"`
 	H         int     `json:"h"`
-	// Workers is the build parallelism: 1 is the serial ctree.Build,
-	// >1 the sharded ctree.BuildParallel.
+	// Workers is the build parallelism: 1 is ctree.Build, >1
+	// ctree.BuildParallelOpts with that many encoding workers.
 	Workers int `json:"workers"`
 	// BuildSeconds is the best-of-reps wall time of one tree build;
 	// PointsPerSec the corresponding throughput.
@@ -95,7 +95,7 @@ func BenchBuild(opt Options, workerCounts []int) ([]BenchBuildRecord, error) {
 			if w <= 1 {
 				tr, err = ctree.Build(ds, core.DefaultH)
 			} else {
-				tr, err = ctree.BuildParallel(ds, core.DefaultH, w)
+				tr, err = ctree.BuildParallelOpts(ds, core.DefaultH, ctree.BuildOptions{Workers: w})
 			}
 			secs := time.Since(start).Seconds()
 			runtime.ReadMemStats(&after)

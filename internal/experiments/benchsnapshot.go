@@ -136,9 +136,9 @@ func BenchSnapshot(opt Options) (BenchSnapshotRecord, error) {
 	streamBytes := int64(ds.Len()) * int64(ctree.ExternalRecordBytes(ds.Dims, core.DefaultH))
 	budget := uint64(streamBytes) / 10
 	start = time.Now()
-	ext, err := ctree.BuildExternal(ds, core.DefaultH, ctree.ExternalBuildOptions{
-		BuildOptions: ctree.BuildOptions{MemoryLimitBytes: budget},
-		SpillDir:     dir,
+	ext, err := ctree.BuildParallelOpts(ds, core.DefaultH, ctree.BuildOptions{
+		MemoryLimitBytes: budget,
+		SpillDir:         dir,
 	})
 	extSecs := time.Since(start).Seconds()
 	if err != nil {

@@ -17,17 +17,15 @@ import "fmt"
 // phase boundaries poll once per phase, chunk points once per worker
 // chunk segment (so cancellation latency is bounded by one segment).
 const (
-	// BuildChunk fires inside a Counting-tree build shard, once per
-	// report interval (ctree.buildReporting).
+	// BuildChunk fires while a Counting-tree build encodes points into
+	// sorted runs: at the start of every run and once per report
+	// interval inside it (ctree's encodeRun), on every build path.
 	BuildChunk = "ctree.build.chunk"
-	// BuildMerge fires before each shard merge of the parallel build.
+	// BuildMerge fires while a Counting-tree build merges its runs and
+	// counts them into the tree: once per report interval of counted
+	// points and once at the end (ctree's countMerged), on every build
+	// path — serial, parallel and spilled.
 	BuildMerge = "ctree.build.merge"
-	// ExternalSpill fires inside the external build's spill phase, once
-	// per chunk of quantized points (ctree.BuildExternal).
-	ExternalSpill = "ctree.external.spill"
-	// ExternalMerge fires inside the external build's k-way merge, once
-	// per chunk of merged records (ctree.BuildExternal).
-	ExternalMerge = "ctree.external.merge"
 	// ScanPass fires at the top of each β-search restart pass.
 	ScanPass = "core.scan.pass"
 	// ScanLevel fires before each per-level convolution-cache build.

@@ -155,22 +155,22 @@ type Counters struct {
 	// that pre-sizes well grows a handful of times; a pathological one
 	// shows up here.
 	ArenaGrows int64 `json:"arenaGrows,omitempty"`
-	// BatchRuns / BatchRunPoints describe the sorted batch insertion:
-	// BatchRuns is how many distinct leaf-path runs the Morton-sorted
-	// chunks collapsed to, BatchRunPoints how many points those runs
-	// carried (points inserted through the per-point fallback are not
-	// counted). BatchRunPoints/BatchRuns is the mean run length — the
-	// batching win over per-point descents.
+	// BatchRuns / BatchRunPoints describe the build engine's counting
+	// stage: BatchRuns is how many groups of points sharing one leaf
+	// path the Morton-sorted merge collapsed to (one per distinct leaf
+	// path), BatchRunPoints how many points those groups carried.
+	// BatchRunPoints/BatchRuns is the mean group length — the win over
+	// per-point descents.
 	BatchRuns      int64 `json:"batchRuns,omitempty"`
 	BatchRunPoints int64 `json:"batchRunPoints,omitempty"`
-	// RadixSortChunks counts the point chunks the build ordered with the
-	// LSD radix kernel (ctree/radix.go) — serial chunk sorts plus one per
-	// parallel sort shard. Zero when every chunk took the multi-word
-	// comparison-sort fallback (d·(H-1) > 64).
+	// RadixSortChunks counts the runs the build ordered with the LSD
+	// radix kernel (ctree/radix.go) — one per encoding shard or spilled
+	// run. Zero when every run took the multi-word permutation sort
+	// (d·(H-1) > 64).
 	RadixSortChunks int64 `json:"radixSortChunks,omitempty"`
 	// SpillRuns / SpillBytes describe an out-of-core tree build
-	// (ctree.BuildExternal): sorted runs spilled to disk and the bytes
-	// they carried. Zero for in-memory builds.
+	// (ctree.BuildOptions.SpillDir): sorted runs spilled to disk and
+	// the bytes they carried. Zero for in-memory builds.
 	SpillRuns  int64 `json:"spillRuns,omitempty"`
 	SpillBytes int64 `json:"spillBytes,omitempty"`
 	// SnapshotSaveBytes / SnapshotLoadBytes count tree snapshot IO

@@ -30,6 +30,8 @@ package shard
 
 import (
 	"fmt"
+
+	"mrcc/internal/ctree"
 )
 
 // JobKind selects what a worker reads to build its shard tree.
@@ -94,6 +96,11 @@ func (j *Job) validate() error {
 	}
 	if j.Start < 0 || j.End < j.Start {
 		return fmt.Errorf("byte range [%d, %d) is invalid", j.Start, j.End)
+	}
+	// A CSV job builds at H; a snapshot job may leave H zero to accept
+	// the snapshot's own.
+	if (j.Kind == KindCSV || j.H != 0) && (j.H < ctree.MinLevels || j.H > ctree.MaxLevels) {
+		return fmt.Errorf("H must be in [%d, %d], got %d", ctree.MinLevels, ctree.MaxLevels, j.H)
 	}
 	if (j.Min == nil) != (j.Max == nil) || len(j.Min) != len(j.Max) {
 		return fmt.Errorf("domain bounds disagree: %d mins, %d maxs", len(j.Min), len(j.Max))

@@ -75,22 +75,20 @@ func writeTestCSV(t *testing.T, d, n int, seed int64, header bool) (string, *dat
 
 // TestRunMatchesSerialByteIdentical is the acceptance pin: for W in
 // {1, 2, 4, 8} local workers the merged tree is ctree.Equal to the
-// single-process build AND re-saves byte-identically through treeio
-// (against the canonicalized serial tree — serial multi-chunk builds
-// have their own arena order).
+// single-process build AND re-saves byte-identically through treeio.
+// The single-process build is itself in canonical arena order.
 func TestRunMatchesSerialByteIdentical(t *testing.T) {
-	const d, n, h = 6, 9000, 4 // > one build chunk, so canonicalization is exercised
+	const d, n, h = 6, 9000, 4 // > one poll interval of the build
 	path, ds := writeTestCSV(t, d, n, 314, false)
 	serial, err := ctree.Build(ds, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	canonSerial, err := ctree.Canonicalize(serial)
-	if err != nil {
-		t.Fatal(err)
+	if canon, err := ctree.Canonicalize(serial); err != nil || canon != serial {
+		t.Fatalf("single-process build is not in canonical arena order (err=%v)", err)
 	}
 	var want bytes.Buffer
-	if _, err := treeio.Save(&want, canonSerial); err != nil {
+	if _, err := treeio.Save(&want, serial); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 4, 8} {
@@ -331,6 +329,9 @@ func TestJobValidate(t *testing.T) {
 		{Kind: KindCSV, Path: "x", Start: 9, End: 3, H: 4},
 		{Kind: KindCSV, Path: "x", Min: []float64{0}, H: 4},
 		{Kind: KindCSV, Path: "x", Min: []float64{1}, Max: []float64{1}, H: 4},
+		{Kind: KindCSV, Path: "x", H: 2},
+		{Kind: KindCSV, Path: "x", H: 61},
+		{Kind: KindSnapshot, Path: "x", H: 61},
 	}
 	for i, job := range cases {
 		if err := job.validate(); err == nil {

@@ -100,6 +100,21 @@ func TestRunDatasetSkipsCopyWhenNormalized(t *testing.T) {
 	}
 }
 
+// TestRunDatasetRefusesHOutOfRange pins that the tree build validates
+// H on every worker count: H = 61 exceeds ctree.MaxLevels and must be
+// refused whether the tree is encoded by one worker or several.
+func TestRunDatasetRefusesHOutOfRange(t *testing.T) {
+	ds, err := mrcc.DatasetFromRows(twoClusterRows(1, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		if _, err := mrcc.RunDataset(ds, mrcc.Config{H: 61, Workers: workers}); err == nil {
+			t.Errorf("workers=%d: H=61 accepted", workers)
+		}
+	}
+}
+
 // TestRunHonorsWorkers is the facade-level regression for the bug where
 // mrcc.Run/RunDataset ignored worker configuration and always built the
 // Counting-tree serially: Workers must reach the core pipeline, and any
